@@ -30,11 +30,7 @@ from .forward import (
     SolveReport,
     SolverConfig,
     eval_cost,
-    picard_step,
     residual_flat,
-    rhs_boundary,
-    rhs_interior,
-    rhs_slice,
     solve_forward,
     sweep_map,
 )
@@ -56,9 +52,6 @@ from .mesh import (
     build_curve_mesh,
     build_mesh,
     curve_diff,
-    quad_boundary,
-    quad_space,
-    quad_time,
 )
 from .models import (
     MODEL_NAMES,
@@ -70,6 +63,7 @@ from .models import (
 )
 from .optimize import OptimizeHistory, OptimizeOptions, project, run_gd
 from .state import (
+    LAYOUTS,
     ControlBundle,
     CoStateBundle,
     DerivedSlots,

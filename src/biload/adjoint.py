@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
-from .forward import SolveReport, SolverConfig
+from .errors import ConfigError
+from .forward import SolverConfig, fixed_point
 from .kernels import (
-    EQ_COSTATE,
+    COST_SHAPES,
     KERNEL_SHAPES,
     SLOT_FAMILIES,
     Problem,
@@ -54,6 +54,9 @@ from .kernels import (
 )
 from .mesh import Mesh, StencilKind, apply_stencil
 from .state import (
+    CONTROL_BLOCKS,
+    LAYOUT,
+    LAYOUTS,
     ControlBundle,
     CoStateBundle,
     DerivedSlots,
@@ -97,19 +100,11 @@ class ControlGradient:
 
 
 def _zero_partials(problem: Problem, mesh: Mesh) -> dict:
-    nt, nx, n = mesh.Nt + 1, mesh.Nx + 1, problem.n
-    shapes = {
-        "S": (nt, nx),
-        "S_bd": (nt, 2),
-        "S0": (nx,),
-        "ST": (nx,),
-        "S0_bd": (2,),
-        "ST_bd": (2,),
-    }
     out = {}
-    for fam, slots in SLOT_FAMILIES.items():
-        for slot in slots:
-            out[slot] = np.zeros(shapes[fam] + (problem.slot_dim(slot),))
+    for L in LAYOUTS:
+        nodes = L.nodes(mesh)
+        for slot in SLOT_FAMILIES[L.family]:
+            out[slot] = np.zeros(nodes + (problem.slot_dim(slot),))
     return out
 
 
@@ -151,7 +146,7 @@ def assemble_h_partials(
         cache = partial_cache(problem, mesh, tables)
     out = _zero_partials(problem, mesh)
     for kid, kernel in problem.kernels.items():
-        lam = getattr(costate, EQ_COSTATE[KERNEL_SHAPES[kid].eq])
+        lam = getattr(costate, LAYOUT[KERNEL_SHAPES[kid].eq].costate)
         for slot in kernel.partials:
             contrib = transpose_contract(mesh, kid, lam, cache[(kid, slot)])
             check_finite(f"partial of {kid} wrt {slot}", contrib)
@@ -291,53 +286,14 @@ def solve_costate(
 ):
     """Relaxed Picard solution of the coupled costate fixed point at a
     (converged) state snapshot.  Starts from zero costates."""
-    if cfg is None:
-        cfg = SolverConfig()
     tables = slot_tables(state, slots, controls)
     cache = partial_cache(problem, mesh, tables)
-    co = zero_costate(mesh, problem.n)
-    history = []
-    converged = False
-    residual = float("inf")
-    iterations = 0
-    theta = cfg.relax
-    for _ in range(cfg.max_iter):
-        target = _costate_sweep(problem, mesh, state, slots, controls, co, cache)
-        residual = max(
-            (
-                float(np.max(np.abs(t - c))) if t.size else 0.0
-                for t, c in zip(target.blocks(), co.blocks())
-            ),
-            default=0.0,
-        )
-        if theta == 1.0:
-            co = target
-        else:
-            co = CoStateBundle(
-                *(
-                    (1.0 - theta) * c + theta * t
-                    for c, t in zip(co.blocks(), target.blocks())
-                )
-            )
-        iterations += 1
-        history.append(residual)
-        for name, block in zip(
-            ("psi", "omega", "psi0", "psiT", "omega0", "omegaT"), co.blocks()
-        ):
-            if block.size and not np.all(np.abs(block) <= cfg.divergence_guard):
-                raise DivergenceError(
-                    f"costate iteration diverged: block {name} exceeded guard"
-                )
-        if residual <= cfg.tol:
-            converged = True
-            break
-    report = SolveReport(
-        iterations=iterations,
-        final_residual=residual,
-        converged=converged,
-        residual_history=history,
+    return fixed_point(
+        lambda co: _costate_sweep(problem, mesh, state, slots, controls, co, cache),
+        zero_costate(mesh, problem.n),
+        cfg or SolverConfig(),
+        label="costate ",
     )
-    return co, report
 
 
 def control_gradient(
@@ -355,34 +311,21 @@ def control_gradient(
     pairing of these densities with the perturbation, blockwise.
     """
     AH = assemble_h_partials(problem, mesh, state, slots, controls, costate)
-    return ControlGradient(
-        g_u=AH["u"],
-        g_w=AH["w"],
-        g_u0=AH["u0"],
-        g_uT=AH["uT"],
-        g_w0=AH["w0"],
-        g_wT=AH["wT"],
-    )
+    return ControlGradient(*(AH[block] for block in CONTROL_BLOCKS))
 
 
 def block_pairing(mesh: Mesh, block: str, g: np.ndarray, d: np.ndarray) -> float:
     """Quadrature pairing of a gradient density with a perturbation of one
     control block."""
-    if block == "u":
-        return float(np.einsum("i,j,ijm,ijm->", mesh.wt, mesh.wx, g, d))
-    if block == "w":
-        return float(np.einsum("i,ibm,ibm->", mesh.wt, g, d))
-    if block in ("u0", "uT"):
-        return float(np.einsum("j,jm,jm->", mesh.wx, g, d))
-    if block in ("w0", "wT"):
-        return float(np.sum(g * d))
-    raise ConfigError(f"unknown control block {block!r}")
+    if block not in CONTROL_BLOCKS:
+        raise ConfigError(f"unknown control block {block!r}")
+    return LAYOUT[block].quad(mesh, g, d, comp="m")
 
 
 def gradient_norm2(mesh: Mesh, grad: ControlGradient) -> float:
     """Squared quadrature norm of the full control gradient."""
     total = 0.0
-    for block in ("u", "w", "u0", "uT", "w0", "wT"):
+    for block in CONTROL_BLOCKS:
         g = grad.block(block)
         if g.size:
             total += block_pairing(mesh, block, g, g)
@@ -405,32 +348,15 @@ def hamiltonian_report(
     pair respectively.  Purely for inspection and plotting.
     """
     tables = slot_tables(state, slots, controls)
-    nt, nx = mesh.Nt + 1, mesh.Nx + 1
-    fields = {
-        "interior": np.zeros((nt, nx)),
-        "boundary": np.zeros((nt, 2)),
-        "initial": np.zeros(nx),
-        "final": np.zeros(nx),
-        "initial_bd": np.zeros(2),
-        "final_bd": np.zeros(2),
-    }
-    fam_home = {
-        "S": "interior",
-        "S_bd": "boundary",
-        "S0": "initial",
-        "ST": "final",
-        "S0_bd": "initial_bd",
-        "ST_bd": "final_bd",
-    }
+    fields = {L.eq: np.zeros(L.nodes(mesh)) for L in LAYOUTS}
     for kid in problem.kernels:
         shape = KERNEL_SHAPES[kid]
-        lam = getattr(costate, EQ_COSTATE[shape.eq])
+        lam = getattr(costate, LAYOUT[shape.eq].costate)
         F = eval_kernel(problem, kid, mesh, tables)
         check_finite(f"kernel {kid}", F)
-        fields[fam_home[shape.family]] += costate_value_contract(mesh, kid, lam, F)
-    cost_home = {"F1": "interior", "G1": "boundary", "F0": "initial", "G0": "initial_bd"}
+        fields[LAYOUT[shape.family].eq] += costate_value_contract(mesh, kid, lam, F)
     for name, _term in problem.cost_terms():
         dens = eval_cost_density(problem, name, mesh, tables)
         check_finite(f"cost {name}", dens)
-        fields[cost_home[name]] += dens
+        fields[COST_SHAPES[name][0].eq] += dens
     return fields

@@ -14,13 +14,13 @@ grad-check, 2 for config errors, 3 for solver failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .adjoint import control_gradient, solve_costate
 from .errors import ConfigError, DivergenceError, KernelEvalError, SingularSystemError
 from .forward import SolverConfig, eval_cost, solve_forward
 from .mesh import Mesh, build_curve_mesh, build_mesh
@@ -33,7 +33,14 @@ from .models import (
     picard_relax_hint,
 )
 from .optimize import OptimizeOptions, run_gd
-from .state import ControlBundle, derive_slots, zero_controls
+from .state import (
+    CONTROL_BLOCKS,
+    LAYOUT,
+    LAYOUTS,
+    ControlBundle,
+    derive_slots,
+    zero_controls,
+)
 from .verify import (
     gradient_check,
     ibp_residual,
@@ -41,13 +48,6 @@ from .verify import (
     skew_adjoint_residual,
     _ibp_test_fields,
 )
-
-_CONTROL_BLOCKS = ("u", "w", "u0", "uT", "w0", "wT")
-
-#: profile name -> (allowed block kinds, builder)
-_TX_BLOCKS = ("u", "w")
-_X_BLOCKS = ("u0", "uT")
-
 
 @dataclass
 class RunSpec:
@@ -74,7 +74,15 @@ _OPT_KEYS = {
     "step0": float,
     "gtol": float,
 }
-_PROFILES = ("zero", "one", "sin_x", "sin_t", "bump_x")
+#: Profile name -> (axis letter it varies along, shape on the unit interval);
+#: zero and one are constants on every block.
+_PROFILES = {
+    "zero": None,
+    "one": None,
+    "sin_x": ("j", lambda z: np.sin(np.pi * z)),
+    "sin_t": ("i", lambda z: np.sin(np.pi * z)),
+    "bump_x": ("j", lambda z: 4.0 * z * (1.0 - z)),
+}
 
 
 def _strip(line: str) -> str:
@@ -127,14 +135,7 @@ def parse_config(text: str) -> RunSpec:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
     for key, (_, lineno) in sections["mesh"].items():
         raise ConfigError(f"line {lineno}: unknown key {key!r} in [mesh]")
-    if mesh["Nt"] < 4:
-        raise ConfigError("Nt must be at least 4")
-    if mesh["Nx"] < 4:
-        raise ConfigError("Nx must be at least 4")
-    if not mesh["T_final"] > 0:
-        raise ConfigError("T_final must be positive")
-    if not mesh["x_a"] < mesh["x_b"]:
-        raise ConfigError("need x_a < x_b")
+    build_mesh(**mesh)
 
     model_items = dict(sections["model"])
     name, _ = model_items.pop("name")
@@ -157,14 +158,11 @@ def parse_config(text: str) -> RunSpec:
         if key == "relax":
             if value != "auto":
                 try:
-                    rv = float(value)
+                    solver[key] = float(value)
                 except ValueError:
                     raise ConfigError(
                         f"line {lineno}: relax must be 'auto' or a number"
                     ) from None
-                if not (0.0 < rv <= 1.0):
-                    raise ConfigError(f"line {lineno}: relax must lie in (0, 1]")
-                solver[key] = rv
         else:
             try:
                 solver[key] = _SOLVER_KEYS[key](value)
@@ -172,10 +170,11 @@ def parse_config(text: str) -> RunSpec:
                 raise ConfigError(
                     f"line {lineno}: bad value for {key}: {value!r}"
                 ) from None
-    if solver["tol"] <= 0:
-        raise ConfigError("tol must be positive")
-    if solver["max_iter"] < 1:
-        raise ConfigError("max_iter must be at least 1")
+    relax = solver["relax"]
+    try:
+        SolverConfig(**{**solver, "relax": 1.0 if relax == "auto" else relax})
+    except ConfigError as exc:
+        raise ConfigError(f"[solver]: {exc}") from None
 
     opt_kwargs = {}
     for key, (value, lineno) in sections.get("optimize", {}).items():
@@ -190,9 +189,9 @@ def parse_config(text: str) -> RunSpec:
     except ConfigError as exc:
         raise ConfigError(f"[optimize]: {exc}") from None
 
-    controls = {block: ("const", 0.0) for block in _CONTROL_BLOCKS}
+    controls = {block: ("const", 0.0) for block in CONTROL_BLOCKS}
     for key, (value, lineno) in sections.get("controls", {}).items():
-        if key not in _CONTROL_BLOCKS:
+        if key not in CONTROL_BLOCKS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [controls]")
         try:
             controls[key] = ("const", float(value))
@@ -223,33 +222,21 @@ def parse_config(text: str) -> RunSpec:
 
 
 def _profile_field(mesh: Mesh, block: str, name: str) -> np.ndarray:
-    tau = mesh.t / mesh.T_final
-    zeta = (mesh.x - mesh.x_a) / (mesh.x_b - mesh.x_a)
-    if name == "zero":
-        return 0.0
-    if name == "one":
-        return 1.0
-    if name == "sin_x":
-        if block in _TX_BLOCKS and block != "u":
-            raise ConfigError(f"profile sin_x is not defined for block {block!r}")
-        if block == "u":
-            return np.sin(np.pi * zeta)[None, :, None]
-        if block in _X_BLOCKS:
-            return np.sin(np.pi * zeta)[:, None]
-        raise ConfigError(f"profile sin_x is not defined for block {block!r}")
-    if name == "sin_t":
-        if block == "u":
-            return np.sin(np.pi * tau)[:, None, None]
-        if block == "w":
-            return np.sin(np.pi * tau)[:, None, None]
-        raise ConfigError(f"profile sin_t is not defined for block {block!r}")
-    if name == "bump_x":
-        if block == "u":
-            return (4.0 * zeta * (1.0 - zeta))[None, :, None]
-        if block in _X_BLOCKS:
-            return (4.0 * zeta * (1.0 - zeta))[:, None]
-        raise ConfigError(f"profile bump_x is not defined for block {block!r}")
-    raise ConfigError(f"unknown profile {name!r}")
+    """A profile laid along its axis of the block's layout; blocks without
+    that axis reject it."""
+    if _PROFILES[name] is None:
+        return 1.0 if name == "one" else 0.0
+    letter, shape_fn = _PROFILES[name]
+    letters = LAYOUT[block].letters
+    if letter not in letters:
+        raise ConfigError(f"profile {name} is not defined for block {block!r}")
+    if letter == "i":
+        unit = mesh.t / mesh.T_final
+    else:
+        unit = (mesh.x - mesh.x_a) / (mesh.x_b - mesh.x_a)
+    shape = [1] * (len(letters) + 1)
+    shape[letters.index(letter)] = unit.size
+    return shape_fn(unit).reshape(shape)
 
 
 def build_controls(spec: RunSpec, mesh: Mesh, problem) -> ControlBundle:
@@ -277,6 +264,15 @@ def _solver_cfg(spec: RunSpec, mesh: Mesh) -> SolverConfig:
     )
 
 
+def _tight_cfg(spec: RunSpec, mesh: Mesh) -> SolverConfig:
+    """The config's solver settings tightened for gradient checks and
+    refinement: tol at most 1e-12, at least 2000 sweeps."""
+    cfg = _solver_cfg(spec, mesh)
+    return dataclasses.replace(
+        cfg, tol=min(cfg.tol, 1e-12), max_iter=max(cfg.max_iter, 2000)
+    )
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -296,69 +292,27 @@ def _write_csv(path: Path, header, rows) -> None:
 _SIDES = ("left", "right")
 
 
-def write_state_csvs(outdir: Path, mesh: Mesh, state) -> None:
-    """Field blocks in the shared CSV schema: grid fields as
-    (t, x, k, value), boundary strips as (t, side, k, value), slices as
-    (x, k, value) / (side, k, value)."""
-    n = state.phi.shape[-1]
-    rows = [
-        (_fmt(mesh.t[i]), _fmt(mesh.x[j]), k, state.phi[i, j, k])
-        for i in range(mesh.Nt + 1)
-        for j in range(mesh.Nx + 1)
-        for k in range(n)
-    ]
-    _write_csv(outdir / "phi.csv", ("t", "x", "k", "value"), rows)
-    rows = [
-        (_fmt(mesh.t[i]), _SIDES[b], k, state.phi_bd[i, b, k])
-        for i in range(mesh.Nt + 1)
-        for b in range(2)
-        for k in range(n)
-    ]
-    _write_csv(outdir / "phi_bd.csv", ("t", "side", "k", "value"), rows)
-    for name, block in (("phi0", state.phi0), ("phiT", state.phiT)):
-        rows = [
-            (_fmt(mesh.x[j]), k, block[j, k])
-            for j in range(mesh.Nx + 1)
-            for k in range(n)
-        ]
-        _write_csv(outdir / f"{name}.csv", ("x", "k", "value"), rows)
-    for name, block in (("phi0_bd", state.phi0_bd), ("phiT_bd", state.phiT_bd)):
-        rows = [(_SIDES[b], k, block[b, k]) for b in range(2) for k in range(n)]
-        _write_csv(outdir / f"{name}.csv", ("side", "k", "value"), rows)
+#: CSV header of each node axis letter (see state.Layout).
+_AXIS_HEADERS = {"i": "t", "j": "x", "b": "side"}
 
 
-def write_control_csvs(outdir: Path, mesh: Mesh, controls: ControlBundle) -> None:
-    for block in _CONTROL_BLOCKS:
-        arr = getattr(controls, block)
+def write_block_csvs(outdir: Path, mesh: Mesh, named) -> None:
+    """Write (file stem, layout, array) blocks in the shared CSV schema:
+    one row per node and component, the node's coordinates first
+    (t, x, side per the layout's axes), then k and the value.  Empty
+    blocks are skipped."""
+    labels = {"i": [_fmt(t) for t in mesh.t], "j": [_fmt(x) for x in mesh.x]}
+    labels["b"] = _SIDES
+    for stem, layout, arr in named:
         if arr.size == 0:
             continue
-        if block == "u":
-            rows = [
-                (_fmt(mesh.t[i]), _fmt(mesh.x[j]), k, arr[i, j, k])
-                for i in range(mesh.Nt + 1)
-                for j in range(mesh.Nx + 1)
-                for k in range(arr.shape[-1])
-            ]
-            header = ("t", "x", "k", "value")
-        elif block == "w":
-            rows = [
-                (_fmt(mesh.t[i]), _SIDES[b], k, arr[i, b, k])
-                for i in range(mesh.Nt + 1)
-                for b in range(2)
-                for k in range(arr.shape[-1])
-            ]
-            header = ("t", "side", "k", "value")
-        elif block in _X_BLOCKS:
-            rows = [
-                (_fmt(mesh.x[j]), k, arr[j, k])
-                for j in range(mesh.Nx + 1)
-                for k in range(arr.shape[-1])
-            ]
-            header = ("x", "k", "value")
-        else:
-            rows = [(_SIDES[b], k, arr[b, k]) for b in range(2) for k in range(arr.shape[-1])]
-            header = ("side", "k", "value")
-        _write_csv(outdir / f"{block}.csv", header, rows)
+        letters = layout.letters
+        rows = [
+            tuple(labels[c][i] for c, i in zip(letters, index)) + (index[-1], arr[index])
+            for index in np.ndindex(arr.shape)
+        ]
+        header = tuple(_AXIS_HEADERS[c] for c in letters) + ("k", "value")
+        _write_csv(outdir / f"{stem}.csv", header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +326,7 @@ def _cmd_solve(spec: RunSpec, outdir: Path, seed: int) -> int:
     controls = build_controls(spec, mesh, problem)
     cfg = _solver_cfg(spec, mesh)
     state, report = solve_forward(problem, mesh, controls, cfg)
-    write_state_csvs(outdir, mesh, state)
+    write_block_csvs(outdir, mesh, state.named())
     _write_csv(
         outdir / "solve_report.csv",
         ("iteration", "residual"),
@@ -402,71 +356,16 @@ def _cmd_cost(spec: RunSpec, outdir: Path, seed: int) -> int:
     return 0 if report.converged else 3
 
 
-def _write_costate_csvs(outdir: Path, mesh: Mesh, costate, grad) -> None:
-    n = costate.psi.shape[-1]
-    rows = [
-        (_fmt(mesh.t[i]), _fmt(mesh.x[j]), k, costate.psi[i, j, k])
-        for i in range(mesh.Nt + 1)
-        for j in range(mesh.Nx + 1)
-        for k in range(n)
-    ]
-    _write_csv(outdir / "psi.csv", ("t", "x", "k", "value"), rows)
-    rows = [
-        (_fmt(mesh.t[i]), _SIDES[b], k, costate.omega[i, b, k])
-        for i in range(mesh.Nt + 1)
-        for b in range(2)
-        for k in range(n)
-    ]
-    _write_csv(outdir / "omega.csv", ("t", "side", "k", "value"), rows)
-    for name, block in (("psi0", costate.psi0), ("psiT", costate.psiT)):
-        rows = [
-            (_fmt(mesh.x[j]), k, block[j, k])
-            for j in range(mesh.Nx + 1)
-            for k in range(n)
-        ]
-        _write_csv(outdir / f"{name}.csv", ("x", "k", "value"), rows)
-    for name, block in (("omega0", costate.omega0), ("omegaT", costate.omegaT)):
-        rows = [(_SIDES[b], k, block[b, k]) for b in range(2) for k in range(n)]
-        _write_csv(outdir / f"{name}.csv", ("side", "k", "value"), rows)
-    if grad.g_u.size:
-        rows = [
-            (_fmt(mesh.t[i]), _fmt(mesh.x[j]), k, grad.g_u[i, j, k])
-            for i in range(mesh.Nt + 1)
-            for j in range(mesh.Nx + 1)
-            for k in range(grad.g_u.shape[-1])
-        ]
-        _write_csv(outdir / "grad_u.csv", ("t", "x", "k", "value"), rows)
-    if grad.g_w.size:
-        rows = [
-            (_fmt(mesh.t[i]), _SIDES[b], k, grad.g_w[i, b, k])
-            for i in range(mesh.Nt + 1)
-            for b in range(2)
-            for k in range(grad.g_w.shape[-1])
-        ]
-        _write_csv(outdir / "grad_w.csv", ("t", "side", "k", "value"), rows)
-
-
 def _cmd_grad_check(spec: RunSpec, outdir: Path, seed: int) -> int:
     mesh = build_mesh(**spec.mesh)
     problem = make_model(spec.model)
     controls = build_controls(spec, mesh, problem)
-    relax = spec.solver["relax"]
-    if relax == "auto":
-        relax = picard_relax_hint(spec.model, mesh)
-    cfg = SolverConfig(
-        tol=min(spec.solver["tol"], 1e-12),
-        relax=relax,
-        max_iter=max(spec.solver["max_iter"], 2000),
-        divergence_guard=spec.solver["divergence_guard"],
-    )
-    state, srep = solve_forward(problem, mesh, controls, cfg)
-    if srep.converged:
-        slots = derive_slots(mesh, state)
-        costate, crep = solve_costate(problem, mesh, state, slots, controls, cfg)
-        if crep.converged:
-            grad = control_gradient(problem, mesh, state, slots, controls, costate)
-            _write_costate_csvs(outdir, mesh, costate, grad)
+    cfg = _tight_cfg(spec, mesh)
     report = gradient_check(problem, mesh, controls, n_dirs=5, seed=seed, cfg=cfg)
+    write_block_csvs(outdir, mesh, report.costate.named())
+    # gradient densities of the two time-dependent controls, u and w
+    grads = [(f"grad_{L.control}", L, report.grad.block(L.control)) for L in LAYOUTS]
+    write_block_csvs(outdir, mesh, [g for g in grads if g[1].time])
     rows = []
     for e in report.entries:
         rows.append(
@@ -502,7 +401,7 @@ def _cmd_optimize(spec: RunSpec, outdir: Path, seed: int) -> int:
         ("iteration", "J", "gnorm", "step", "forward_iterations"),
         history.rows,
     )
-    write_control_csvs(outdir, mesh, best)
+    write_block_csvs(outdir, mesh, best.named())
     print(f"optimize: status={history.status} J_final={history.rows[-1][1]!r}")
     return 0
 
@@ -549,15 +448,7 @@ def _cmd_refine(spec: RunSpec, outdir: Path, seed: int) -> int:
     reference = model_reference(spec.model)
 
     def cfg(m):
-        relax = spec.solver["relax"]
-        if relax == "auto":
-            relax = picard_relax_hint(spec.model, m)
-        return SolverConfig(
-            tol=min(spec.solver["tol"], 1e-12),
-            relax=relax,
-            max_iter=max(spec.solver["max_iter"], 2000),
-            divergence_guard=spec.solver["divergence_guard"],
-        )
+        return _tight_cfg(spec, m)
 
     if reference is not None:
         metric = "forward_error"

@@ -1,11 +1,17 @@
-"""Forward solution of the coupled six-block integral system and the cost.
+"""Forward solution of the coupled six-block integral system, the cost,
+and the fixed-point loop shared with the costate solve.
 
 The discrete system is a fixed point of one global sweep: every block is
 re-evaluated from the previous iterate (Jacobi style), after which the
 boundary columns of the trajectory are overwritten with the boundary-trace
-block so the two unknowns agree at the walls.  Successive sweeps are
-under-relaxed by the factor `relax`; the reported residual is the sup
-distance between a state and its sweep image, measured before relaxation.
+block so the two unknowns agree at the walls.
+
+`fixed_point` runs relaxed Picard iteration for any six-block bundle:
+successive sweep images are under-relaxed by the factor `relax`, the
+reported residual is the sup distance between an iterate and its sweep
+image measured before relaxation, and an iterate leaving the divergence
+guard raises with the offending block's name.  `solve_forward` drives it
+with `sweep_map`, `adjoint.solve_costate` with the costate sweep.
 
 Starting from the zero bundle, the iteration is deterministic: identical
 inputs give bitwise-identical results.
@@ -13,15 +19,16 @@ inputs give bitwise-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .kernels import (
+    COST_SHAPES,
     KERNEL_SHAPES,
     Problem,
-    SlotTables,
     check_finite,
     eval_cost_density,
     eval_kernel,
@@ -30,24 +37,17 @@ from .kernels import (
 )
 from .mesh import LEFT, RIGHT, Mesh
 from .state import (
+    LAYOUT,
+    LAYOUTS,
     ControlBundle,
     DerivedSlots,
     StateBundle,
-    check_state_shapes,
+    block_shapes,
     derive_slots,
     pack,
     sup_distance,
     zero_state,
 )
-
-_EQ_TO_BLOCK = {
-    "interior": "phi",
-    "boundary": "phi_bd",
-    "initial": "phi0",
-    "final": "phiT",
-    "initial_bd": "phi0_bd",
-    "final_bd": "phiT_bd",
-}
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,15 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.relax <= 1.0):
             raise ConfigError(f"relax must lie in (0, 1], got {self.relax}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (math.isfinite(self.divergence_guard) and self.divergence_guard > 0):
+            raise ConfigError(
+                f"divergence_guard must be positive and finite, "
+                f"got {self.divergence_guard}"
+            )
 
 
 @dataclass
@@ -74,22 +79,27 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
 
-def _rhs_accumulate(problem: Problem, mesh: Mesh, tables: SlotTables) -> dict:
-    """Evaluate all registered kernels and contract onto consumer nodes."""
-    n = problem.n
-    acc = {
-        "interior": np.zeros((mesh.Nt + 1, mesh.Nx + 1, n)),
-        "boundary": np.zeros((mesh.Nt + 1, 2, n)),
-        "initial": np.zeros((mesh.Nx + 1, n)),
-        "final": np.zeros((mesh.Nx + 1, n)),
-        "initial_bd": np.zeros((2, n)),
-        "final_bd": np.zeros((2, n)),
-    }
+def assemble_sweep(mesh: Mesh, n: int, contributions) -> StateBundle:
+    """Sum (equation family, consumer-node array) contributions into one
+    block per family, overwrite the trajectory's wall columns with the
+    boundary-trace block, and bundle the result."""
+    shapes = block_shapes(mesh.Nt, mesh.Nx, (n,) * len(LAYOUTS))
+    acc = {L.eq: np.zeros(shape) for L, shape in zip(LAYOUTS, shapes)}
+    for eq, value in contributions:
+        acc[eq] += value
+    phi, phi_bd = acc["interior"], acc["boundary"]
+    phi[:, 0, :] = phi_bd[:, LEFT, :]
+    phi[:, -1, :] = phi_bd[:, RIGHT, :]
+    return StateBundle(*acc.values())
+
+
+def _kernel_terms(problem: Problem, mesh: Mesh, tables):
+    """Evaluate every registered kernel and contract it onto its
+    consumer nodes."""
     for kid in problem.kernels:
         F = eval_kernel(problem, kid, mesh, tables)
         check_finite(f"kernel {kid}", F)
-        acc[KERNEL_SHAPES[kid].eq] += forward_contract(mesh, kid, F)
-    return acc
+        yield KERNEL_SHAPES[kid].eq, forward_contract(mesh, kid, F)
 
 
 def sweep_map(
@@ -104,98 +114,51 @@ def sweep_map(
     if slots is None:
         slots = derive_slots(mesh, state)
     tables = slot_tables(state, slots, controls)
-    acc = _rhs_accumulate(problem, mesh, tables)
-    phi = acc["interior"]
-    phi_bd = acc["boundary"]
-    phi[:, 0, :] = phi_bd[:, LEFT, :]
-    phi[:, -1, :] = phi_bd[:, RIGHT, :]
-    return StateBundle(
-        phi=phi,
-        phi_bd=phi_bd,
-        phi0=acc["initial"],
-        phiT=acc["final"],
-        phi0_bd=acc["initial_bd"],
-        phiT_bd=acc["final_bd"],
-    )
+    return assemble_sweep(mesh, problem.n, _kernel_terms(problem, mesh, tables))
 
 
-def rhs_interior(problem, mesh, state, slots, controls, i: int, j: int) -> np.ndarray:
-    """Right-hand side of the trajectory equation at node (t_i, x_j).
+def fixed_point(sweep, x0, cfg: SolverConfig, label: str = ""):
+    """Relaxed Picard iteration x <- (1 - relax) x + relax sweep(x) from
+    the bundle x0.  Returns (bundle, SolveReport).
 
-    Running-integral terms vanish exactly at row i = 0 because their
-    quadrature range is empty there.
+    Non-convergence within max_iter is reported, not raised; an iterate
+    leaving the divergence guard raises, naming the block (label prefixes
+    the message).
     """
-    tables = slot_tables(state, slots, controls)
-    out = np.zeros(problem.n)
-    for kid in problem.kernels:
-        if KERNEL_SHAPES[kid].eq != "interior":
-            continue
-        F = eval_kernel(problem, kid, mesh, tables)
-        check_finite(f"kernel {kid}", F)
-        out += forward_contract(mesh, kid, F)[i, j]
-    return out
-
-
-def rhs_boundary(problem, mesh, state, slots, controls, i: int, side: int) -> np.ndarray:
-    """Right-hand side of the boundary-trace equation at (t_i, side)."""
-    tables = slot_tables(state, slots, controls)
-    out = np.zeros(problem.n)
-    for kid in problem.kernels:
-        if KERNEL_SHAPES[kid].eq != "boundary":
-            continue
-        F = eval_kernel(problem, kid, mesh, tables)
-        check_finite(f"kernel {kid}", F)
-        out += forward_contract(mesh, kid, F)[i, side]
-    return out
-
-
-def rhs_slice(problem, mesh, state, slots, controls, which: str, location: int) -> np.ndarray:
-    """Right-hand side of one slice equation at an x node (interior
-    slices) or side (boundary slices)."""
-    if which not in ("initial", "final", "initial_bd", "final_bd"):
-        raise ConfigError(f"unknown slice {which!r}")
-    tables = slot_tables(state, slots, controls)
-    out = np.zeros(problem.n)
-    for kid in problem.kernels:
-        if KERNEL_SHAPES[kid].eq != which:
-            continue
-        F = eval_kernel(problem, kid, mesh, tables)
-        check_finite(f"kernel {kid}", F)
-        out += forward_contract(mesh, kid, F)[location]
-    return out
-
-
-def _guard(state: StateBundle, guard: float) -> None:
-    for name in ("phi", "phi_bd", "phi0", "phiT", "phi0_bd", "phiT_bd"):
-        block = getattr(state, name)
-        if block.size and not np.all(np.abs(block) <= guard):
-            raise DivergenceError(
-                f"iteration diverged: block {name} exceeded guard {guard:g}"
-            )
-
-
-def picard_step(
-    problem: Problem,
-    mesh: Mesh,
-    state: StateBundle,
-    controls: ControlBundle,
-    cfg: SolverConfig,
-):
-    """One relaxed sweep.  Returns (new_state, residual) with the residual
-    measured between the unrelaxed sweep image and the incoming state."""
-    check_state_shapes(mesh, state)
-    target = sweep_map(problem, mesh, state, controls)
-    residual = sup_distance(target, state)
+    x = x0
+    history = []
+    converged = False
+    residual = float("inf")
     theta = cfg.relax
-    if theta == 1.0:
-        return target, residual
-    new = StateBundle(
-        *(
-            (1.0 - theta) * old + theta * tgt
-            for old, tgt in zip(state.blocks(), target.blocks())
-        )
+    for _ in range(cfg.max_iter):
+        target = sweep(x)
+        residual = sup_distance(target, x)
+        if theta == 1.0:
+            x = target
+        else:
+            x = type(x)(
+                *(
+                    (1.0 - theta) * old + theta * tgt
+                    for old, tgt in zip(x.blocks(), target.blocks())
+                )
+            )
+        history.append(residual)
+        for name, block in zip(x.names, x.blocks()):
+            if block.size and not np.all(np.abs(block) <= cfg.divergence_guard):
+                raise DivergenceError(
+                    f"{label}iteration diverged: block {name} exceeded guard "
+                    f"{cfg.divergence_guard:g}"
+                )
+        if residual <= cfg.tol:
+            converged = True
+            break
+    report = SolveReport(
+        iterations=len(history),
+        final_residual=residual,
+        converged=converged,
+        residual_history=history,
     )
-    return new, residual
+    return x, report
 
 
 def solve_forward(
@@ -204,33 +167,12 @@ def solve_forward(
     controls: ControlBundle,
     cfg: SolverConfig = None,
 ):
-    """Picard iteration from the zero bundle.
-
-    Non-convergence within max_iter is reported, not raised; leaving the
-    divergence guard envelope raises.
-    """
-    if cfg is None:
-        cfg = SolverConfig()
-    state = zero_state(mesh, problem.n)
-    history = []
-    converged = False
-    residual = float("inf")
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        state, residual = picard_step(problem, mesh, state, controls, cfg)
-        iterations += 1
-        history.append(residual)
-        _guard(state, cfg.divergence_guard)
-        if residual <= cfg.tol:
-            converged = True
-            break
-    report = SolveReport(
-        iterations=iterations,
-        final_residual=residual,
-        converged=converged,
-        residual_history=history,
+    """Picard iteration from the zero bundle (see fixed_point)."""
+    return fixed_point(
+        lambda state: sweep_map(problem, mesh, state, controls),
+        zero_state(mesh, problem.n),
+        cfg or SolverConfig(),
     )
-    return state, report
 
 
 def eval_cost(
@@ -246,14 +188,7 @@ def eval_cost(
     for name, _term in problem.cost_terms():
         dens = eval_cost_density(problem, name, mesh, tables)
         check_finite(f"cost {name}", dens)
-        if name == "F1":
-            J += float(np.einsum("i,j,ij->", mesh.wt, mesh.wx, dens))
-        elif name == "G1":
-            J += float(np.einsum("i,ib->", mesh.wt, dens))
-        elif name == "F0":
-            J += float(np.einsum("j,j->", mesh.wx, dens))
-        else:  # G0
-            J += float(np.sum(dens))
+        J += LAYOUT[COST_SHAPES[name][0].eq].quad(mesh, dens)
     return J
 
 

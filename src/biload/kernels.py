@@ -40,7 +40,14 @@ import numpy as np
 
 from .errors import ConfigError, KernelEvalError, ShapeError
 from .mesh import Mesh
-from .state import ControlBundle, DerivedSlots, StateBundle
+from .state import (
+    CONTROL_BLOCKS,
+    LAYOUT,
+    ControlBundle,
+    DerivedSlots,
+    StateBundle,
+    axis_sizes,
+)
 
 # ---------------------------------------------------------------------------
 # Slot and kernel tables
@@ -58,13 +65,6 @@ SLOT_FAMILIES: Mapping[str, tuple] = {
 SLOT_FAMILY_OF = {
     slot: fam for fam, slots in SLOT_FAMILIES.items() for slot in slots
 }
-
-CONTROL_SLOTS = ("u", "w", "u0", "uT", "w0", "wT")
-
-#: Slot names of the control block living inside each family.
-_U_SLOTS = ("u", "u0", "uT")
-_W_SLOTS = ("w", "w0", "wT")
-
 
 @dataclass(frozen=True)
 class KernelShape:
@@ -109,42 +109,23 @@ KERNEL_SHAPES: Mapping[str, KernelShape] = {
 
 KERNEL_IDS = tuple(KERNEL_SHAPES)
 
-#: Which costate weights each equation family in accumulation passes.
-EQ_COSTATE = {
-    "interior": "psi",
-    "boundary": "omega",
-    "initial": "psi0",
-    "final": "psiT",
-    "initial_bd": "omega0",
-    "final_bd": "omegaT",
-}
-
-# Consumer axis letters per equation family: (time letter, space letter).
-_EQ_LETTERS = {
-    "interior": ("i", "j"),
-    "boundary": ("i", "b"),
-    "initial": (None, "j"),
-    "final": (None, "j"),
-    "initial_bd": (None, "b"),
-    "final_bd": (None, "b"),
+#: Kernel-argument name and mesh coordinate array of each axis letter (see
+#: state.axis_sizes).
+_COORDS = {
+    "i": ("t", "t"),
+    "j": ("x", "x"),
+    "b": ("xi", "bd_x"),
+    "k": ("s", "t"),
+    "l": ("y", "x"),
+    "e": ("eta", "bd_x"),
 }
 
 
-def _axis_sizes(mesh: Mesh) -> Mapping[str, int]:
-    return {
-        "i": mesh.Nt + 1,
-        "j": mesh.Nx + 1,
-        "b": 2,
-        "k": mesh.Nt + 1,
-        "l": mesh.Nx + 1,
-        "e": 2,
-    }
-
-
-def _slot_letters(shape: KernelShape) -> tuple:
-    """Axis letters of the slot arrays this kernel reads, natural order."""
-    c_time, c_space = _EQ_LETTERS[shape.eq]
-    if shape.family in ("S", "S_bd"):
+def _slot_letters(shape: KernelShape, family: str = None) -> tuple:
+    """Axis letters of the slot arrays of one family (by default the
+    kernel's own) as this kernel reads them, natural order."""
+    c_time, c_space = LAYOUT[shape.eq].time, LAYOUT[shape.eq].space
+    if LAYOUT[family or shape.family].time:
         time_letter = "k" if shape.time_rel in ("volterra", "full") else c_time
         if shape.space_rel == "omega":
             space_letter = "l"
@@ -162,8 +143,7 @@ def _slot_letters(shape: KernelShape) -> tuple:
 
 
 def _full_letters(shape: KernelShape) -> str:
-    c_time, c_space = _EQ_LETTERS[shape.eq]
-    consumers = "".join(filter(None, (c_time, c_space)))
+    consumers = LAYOUT[shape.eq].letters
     extra = ""
     if shape.time_rel in ("volterra", "full"):
         extra += "k"
@@ -175,8 +155,7 @@ def _full_letters(shape: KernelShape) -> str:
 
 
 def consumer_letters(shape: KernelShape) -> str:
-    c_time, c_space = _EQ_LETTERS[shape.eq]
-    return "".join(filter(None, (c_time, c_space)))
+    return LAYOUT[shape.eq].letters
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +260,32 @@ def _arrange(arr: np.ndarray, arr_letters: tuple, full: str) -> np.ndarray:
     return moved.reshape(tuple(shape) + (moved.shape[-1],))
 
 
-def kernel_args(kid: str, mesh: Mesh, tables: SlotTables) -> KernelArgs:
-    """Build the argument namespace for one kernel on this mesh."""
+def _arg_spec(kid: str):
+    """(shape, slot families read) of a kernel id or a cost name."""
+    if kid in COST_SHAPES:
+        return COST_SHAPES[kid]
     shape = KERNEL_SHAPES[kid]
+    return shape, (shape.family,)
+
+
+def kernel_args(kid: str, mesh: Mesh, tables: SlotTables) -> KernelArgs:
+    """Build the argument namespace for one kernel, or one cost integrand
+    when kid is a cost name (F1, G1, F0, G0), on this mesh."""
+    shape, families = _arg_spec(kid)
     full = _full_letters(shape)
-    c_time, c_space = _EQ_LETTERS[shape.eq]
     values: dict = {}
-    if c_time is not None:
-        values["t"] = _place_coord(mesh.t, c_time, full)
-    if c_space == "j":
-        values["x"] = _place_coord(mesh.x, c_space, full)
-    else:
-        values["xi"] = _place_coord(mesh.bd_x, c_space, full)
-    if shape.time_rel in ("volterra", "full"):
-        values["s"] = _place_coord(mesh.t, "k", full)
-    if shape.space_rel == "omega":
-        values["y"] = _place_coord(mesh.x, "l", full)
-    elif shape.space_rel == "gamma":
-        values["eta"] = _place_coord(mesh.bd_x, "e", full)
-    letters = _slot_letters(shape)
-    for slot, arr in tables.family(shape.family).items():
-        values[slot] = _arrange(arr, letters, full)
+    for c in full:
+        name, coord = _COORDS[c]
+        values[name] = _place_coord(getattr(mesh, coord), c, full)
+    for fam in families:
+        letters = _slot_letters(shape, fam)
+        for slot, arr in tables.family(fam).items():
+            values[slot] = _arrange(arr, letters, full)
     return KernelArgs(values)
 
 
 def _full_shape(shape: KernelShape, mesh: Mesh) -> tuple:
-    sizes = _axis_sizes(mesh)
+    sizes = axis_sizes(mesh.Nt, mesh.Nx)
     return tuple(sizes[c] for c in _full_letters(shape))
 
 
@@ -344,26 +323,6 @@ COST_SHAPES = {
     "F0": (KernelShape("initial", "S0", "none", "same"), ("S0", "ST")),
     "G0": (KernelShape("initial_bd", "S0_bd", "none", "same"), ("S0_bd", "ST_bd")),
 }
-
-
-def cost_args(which: str, mesh: Mesh, tables: SlotTables) -> KernelArgs:
-    shape, families = COST_SHAPES[which]
-    full = _full_letters(shape)
-    c_time, c_space = _EQ_LETTERS[shape.eq]
-    values: dict = {}
-    if c_time is not None:
-        values["t"] = _place_coord(mesh.t, c_time, full)
-    if c_space == "j":
-        values["x"] = _place_coord(mesh.x, c_space, full)
-    else:
-        values["xi"] = _place_coord(mesh.bd_x, c_space, full)
-    for fam in families:
-        letters = _slot_letters(
-            KernelShape(shape.eq, fam, shape.time_rel, shape.space_rel)
-        )
-        for slot, arr in tables.family(fam).items():
-            values[slot] = _arrange(arr, letters, full)
-    return KernelArgs(values)
 
 
 @dataclass(frozen=True)
@@ -420,10 +379,8 @@ class Problem:
         return out
 
     def slot_dim(self, slot: str) -> int:
-        if slot in _U_SLOTS:
-            return self.m_u
-        if slot in _W_SLOTS:
-            return self.m_w
+        if slot in CONTROL_BLOCKS:
+            return LAYOUT[slot].control_dim(self.m_u, self.m_w)
         return self.n
 
 
@@ -476,7 +433,7 @@ def eval_kernel_partial(
 
 def _weight_ops(shape: KernelShape, mesh: Mesh, transpose: bool):
     """Weight operands and einsum subscripts for the producer axes."""
-    c_time, c_space = _EQ_LETTERS[shape.eq]
+    c_time, c_space = LAYOUT[shape.eq].time, LAYOUT[shape.eq].space
     ops, subs = [], []
     if shape.time_rel == "volterra":
         W = mesh.volterra_upper if transpose else mesh.volterra_lower
@@ -565,7 +522,7 @@ def eval_cost_density(
     """Evaluate one cost integrand over its consumer nodes (no weights)."""
     term = getattr(problem, f"cost_{which}")
     shape, _ = COST_SHAPES[which]
-    args = cost_args(which, mesh, tables)
+    args = kernel_args(which, mesh, tables)
     raw = np.asarray(term.fn(args), dtype=float)
     target = _full_shape(shape, mesh)
     try:
@@ -582,7 +539,7 @@ def eval_cost_partial(
 ) -> np.ndarray:
     term = getattr(problem, f"cost_{which}")
     shape, _ = COST_SHAPES[which]
-    args = cost_args(which, mesh, tables)
+    args = kernel_args(which, mesh, tables)
     raw = np.asarray(term.partials[slot](args), dtype=float)
     target = _full_shape(shape, mesh) + (problem.slot_dim(slot),)
     try:
@@ -627,24 +584,15 @@ def _point_args(rng, shape: KernelShape, families, problem: Problem, box):
     full = _full_letters(shape)
     rank = len(full) + 1
     ones = (1,) * rank
-    c_time, c_space = _EQ_LETTERS[shape.eq]
     values: dict = {}
-
-    def rand_coord(lo, hi):
-        return np.full(ones, rng.uniform(lo, hi))
-
-    if c_time is not None:
-        values["t"] = rand_coord(0.0, t_hi)
-    if c_space == "j":
-        values["x"] = rand_coord(x_lo, x_hi)
-    else:
-        values["xi"] = np.full(ones, rng.choice([x_lo, x_hi]))
-    if shape.time_rel in ("volterra", "full"):
-        values["s"] = rand_coord(0.0, t_hi)
-    if shape.space_rel == "omega":
-        values["y"] = rand_coord(x_lo, x_hi)
-    elif shape.space_rel == "gamma":
-        values["eta"] = np.full(ones, rng.choice([x_lo, x_hi]))
+    for c in full:
+        if c in "ik":
+            value = rng.uniform(0.0, t_hi)
+        elif c in "jl":
+            value = rng.uniform(x_lo, x_hi)
+        else:
+            value = rng.choice([x_lo, x_hi])
+        values[_COORDS[c][0]] = np.full(ones, value)
     for fam in families:
         for slot in SLOT_FAMILIES[fam]:
             d = problem.slot_dim(slot)

@@ -153,7 +153,8 @@ class Mesh:
 
 def build_mesh(T_final: float, Nt: int, x_a: float, x_b: float, Nx: int) -> Mesh:
     """Construct a mesh, rejecting out-of-range or non-finite parameters."""
-    for name, value in (("T_final", T_final), ("x_a", x_a), ("x_b", x_b)):
+    values = {"T_final": T_final, "Nt": Nt, "x_a": x_a, "x_b": x_b, "Nx": Nx}
+    for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
     if T_final <= 0:
@@ -173,44 +174,6 @@ def build_mesh(T_final: float, Nt: int, x_a: float, x_b: float, Nx: int) -> Mesh
         dt=float(T_final) / int(Nt),
         dx=(float(x_b) - float(x_a)) / int(Nx),
     )
-
-
-def quad_time(mesh: Mesh, samples: np.ndarray, i_lo: int, i_hi: int):
-    """Trapezoid integral of time-node samples over [t_{i_lo}, t_{i_hi}].
-
-    samples has the time axis first; trailing axes pass through.  Returns
-    zero for an empty range (i_lo == i_hi).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != mesh.Nt + 1:
-        raise ShapeError(
-            f"expected {mesh.Nt + 1} time samples, got {samples.shape[0]}"
-        )
-    if not (0 <= i_lo <= i_hi <= mesh.Nt):
-        raise IndexError(f"bad time index range [{i_lo}, {i_hi}] for Nt={mesh.Nt}")
-    if i_lo == i_hi:
-        return np.zeros(samples.shape[1:]) if samples.ndim > 1 else 0.0
-    w = np.full(i_hi - i_lo + 1, mesh.dt)
-    w[0] = w[-1] = 0.5 * mesh.dt
-    block = samples[i_lo : i_hi + 1]
-    out = np.tensordot(w, block, axes=(0, 0))
-    return out if samples.ndim > 1 else float(out)
-
-
-def quad_space(mesh: Mesh, samples: np.ndarray):
-    """Trapezoid integral of space-node samples over (x_a, x_b)."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != mesh.Nx + 1:
-        raise ShapeError(
-            f"expected {mesh.Nx + 1} space samples, got {samples.shape[0]}"
-        )
-    out = np.tensordot(mesh.wx, samples, axes=(0, 0))
-    return out if samples.ndim > 1 else float(out)
-
-
-def quad_boundary(mesh: Mesh, left, right):
-    """Boundary integral under the counting measure: left + right."""
-    return left + right
 
 
 def _apply_axis(matrix: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:

@@ -20,9 +20,7 @@ from .errors import ConfigError, DivergenceError
 from .forward import SolverConfig, eval_cost, solve_forward
 from .kernels import Problem
 from .mesh import Mesh
-from .state import ControlBundle, derive_slots
-
-_BLOCKS = ("u", "w", "u0", "uT", "w0", "wT")
+from .state import CONTROL_BLOCKS, ControlBundle, derive_slots
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ def project(controls: ControlBundle, bounds) -> ControlBundle:
         return controls
     new = controls.copy()
     for block, (lo, hi) in bounds.items():
-        if block not in _BLOCKS:
+        if block not in CONTROL_BLOCKS:
             raise ConfigError(f"unknown control block {block!r} in bounds")
         if np.any(np.asarray(lo) > np.asarray(hi)):
             raise ConfigError(f"bounds for {block!r} are not ordered")
@@ -70,7 +68,7 @@ def project(controls: ControlBundle, bounds) -> ControlBundle:
 
 def _descend(controls: ControlBundle, grad, step: float) -> ControlBundle:
     new = controls.copy()
-    for block in _BLOCKS:
+    for block in CONTROL_BLOCKS:
         arr = getattr(new, block)
         if arr.size:
             arr -= step * grad.block(block)

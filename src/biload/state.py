@@ -1,4 +1,5 @@
-"""State, control, and costate containers plus derived-slot computation.
+"""State, control, and costate containers, the layout table, and
+derived-slot computation.
 
 The unknown has six blocks: the trajectory phi on the full grid, its
 boundary trace trajectory phi_bd (a separate unknown, reconciled with the
@@ -6,6 +7,15 @@ boundary columns of phi by the forward solver), and the four initial/final
 slices phi0, phiT, phi0_bd, phiT_bd.  Initial and final slices are
 deliberately independent of the first/last rows of phi: the system is
 allowed to jump at t = 0 and t = T.
+
+Each block lives on one of six node sets, and the control, the costate,
+the equation family that contracts onto it and the slot family read there
+live on the same set.  `LAYOUTS` states this once: per node set, its axis
+letters (hence its block shape for a given component count, see
+`block_shapes`), its quadrature measure (`Layout.quad`), and the names of
+the blocks and families on it.  The
+bundles, zero constructors, shape checks, flat packing, pairings and CSV
+writers all read it.
 
 derive_slots produces every derived field the kernels may read: spatial
 derivatives p = Dx phi and q = Dxx phi, time derivatives of phi/p/q, the
@@ -15,19 +25,128 @@ governing boundary unknown at the wall), and the slice derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+import functools
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .errors import ShapeError
 from .mesh import LEFT, RIGHT, Mesh, StencilKind, apply_stencil
 
-_STATE_BLOCKS = ("phi", "phi_bd", "phi0", "phiT", "phi0_bd", "phiT_bd")
-_CONTROL_BLOCKS = ("u", "w", "u0", "uT", "w0", "wT")
+
+@dataclass(frozen=True)
+class Layout:
+    """One of the six node sets and the blocks that live on it.
+
+    time and space are the einsum letters of its node axes: "i" for the
+    time nodes, "j" for the interior x nodes, "b" for the two walls.
+    """
+
+    time: Optional[str]
+    space: str
+    state: str
+    costate: str
+    control: str
+    eq: str  # equation family whose kernels contract onto these nodes
+    family: str  # slot family read at these nodes
+    letters: str = field(init=False)  # node axes, e.g. "ij" on the grid
+
+    def __post_init__(self):
+        object.__setattr__(self, "letters", (self.time or "") + self.space)
+
+    def nodes(self, mesh) -> tuple:
+        """Shape of the node axes on this mesh."""
+        return _node_shape(self.letters, mesh.Nt, mesh.Nx)
+
+    def control_dim(self, m_u: int, m_w: int) -> int:
+        """Components of this layout's control: u-controls on x nodes,
+        w-controls on the walls."""
+        return m_u if self.space == "j" else m_w
+
+    def quad(self, mesh: Mesh, *operands, comp: str = "") -> float:
+        """Quadrature of the product of one or two operands over these
+        nodes.
+
+        Time and interior-x axes carry trapezoid weights; the walls carry
+        the counting measure.  The einsum subscripts are the weighted
+        letters, then each operand's node letters plus comp, e.g.
+        "i,j,ij->" for a grid density and "i,j,ijm,ijm->" for a grid
+        pairing with comp="m".  The wall pairs have no weighted axis and
+        are a plain sum.
+        """
+        weights = {"i": mesh.wt, "j": mesh.wx}
+        weighted = [c for c in self.letters if c in weights]
+        if not weighted:
+            prod = operands[0] if len(operands) == 1 else operands[0] * operands[1]
+            return float(np.sum(prod))
+        subs = ",".join(weighted + [self.letters + comp] * len(operands))
+        return float(np.einsum(subs + "->", *(weights[c] for c in weighted), *operands))
+
+
+def axis_sizes(Nt: int, Nx: int) -> dict:
+    """Node count per axis letter: consumer time i, interior x j and wall
+    side b, and their producer twins k, l and e."""
+    return {"i": Nt + 1, "j": Nx + 1, "b": 2, "k": Nt + 1, "l": Nx + 1, "e": 2}
+
+
+@functools.lru_cache(maxsize=256)
+def _node_shape(letters: str, Nt: int, Nx: int) -> tuple:
+    # cached: every sweep builds and checks the block shapes
+    sizes = axis_sizes(Nt, Nx)
+    return tuple(sizes[c] for c in letters)
+
+
+@functools.lru_cache(maxsize=256)
+def block_shapes(Nt: int, Nx: int, dims: tuple) -> tuple:
+    """Shapes of the six blocks in table order, dims[k] components on
+    layout k."""
+    return tuple(_node_shape(L.letters, Nt, Nx) + (m,) for L, m in zip(LAYOUTS, dims))
+
+
+#: One column per node set: the grid, the wall strip, the initial and final
+#: slices, and the initial and final wall pairs.  Block order everywhere
+#: (bundle fields, packing, CSV files) is this column order.
+_TABLE = {
+    "time": ("i", "i", None, None, None, None),
+    "space": ("j", "b", "j", "j", "b", "b"),
+    "state": ("phi", "phi_bd", "phi0", "phiT", "phi0_bd", "phiT_bd"),
+    "costate": ("psi", "omega", "psi0", "psiT", "omega0", "omegaT"),
+    "control": ("u", "w", "u0", "uT", "w0", "wT"),
+    "eq": ("interior", "boundary", "initial", "final", "initial_bd", "final_bd"),
+    "family": ("S", "S_bd", "S0", "ST", "S0_bd", "ST_bd"),
+}
+LAYOUTS = tuple(
+    Layout(**dict(zip(_TABLE, column))) for column in zip(*_TABLE.values())
+)
+#: Layout by any of its block, equation or family names (all distinct).
+LAYOUT = {
+    name: L
+    for L in LAYOUTS
+    for name in (L.state, L.costate, L.control, L.eq, L.family)
+}
+CONTROL_BLOCKS = _TABLE["control"]
+
+
+class _Bundle:
+    """Six blocks named by one column of the layout table."""
+
+    names: ClassVar[tuple]
+
+    def blocks(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.names)
+
+    def named(self) -> tuple:
+        """(block name, layout, array) for each block."""
+        return tuple(zip(self.names, LAYOUTS, self.blocks()))
+
+    def copy(self):
+        return type(self)(*(b.copy() for b in self.blocks()))
 
 
 @dataclass
-class StateBundle:
+class StateBundle(_Bundle):
+    names: ClassVar[tuple] = _TABLE["state"]
     phi: np.ndarray  # (Nt+1, Nx+1, n)
     phi_bd: np.ndarray  # (Nt+1, 2, n)
     phi0: np.ndarray  # (Nx+1, n)
@@ -39,44 +158,10 @@ class StateBundle:
     def n(self) -> int:
         return self.phi.shape[2]
 
-    def blocks(self):
-        return tuple(getattr(self, name) for name in _STATE_BLOCKS)
-
-    def copy(self) -> "StateBundle":
-        return StateBundle(*(b.copy() for b in self.blocks()))
-
-
-def zero_state(mesh: Mesh, n: int) -> StateBundle:
-    return StateBundle(
-        phi=np.zeros((mesh.Nt + 1, mesh.Nx + 1, n)),
-        phi_bd=np.zeros((mesh.Nt + 1, 2, n)),
-        phi0=np.zeros((mesh.Nx + 1, n)),
-        phiT=np.zeros((mesh.Nx + 1, n)),
-        phi0_bd=np.zeros((2, n)),
-        phiT_bd=np.zeros((2, n)),
-    )
-
-
-def check_state_shapes(mesh: Mesh, state: StateBundle) -> int:
-    """Validate all six blocks against the mesh; returns the state dimension."""
-    n = state.phi.shape[-1] if state.phi.ndim == 3 else -1
-    expected = {
-        "phi": (mesh.Nt + 1, mesh.Nx + 1, n),
-        "phi_bd": (mesh.Nt + 1, 2, n),
-        "phi0": (mesh.Nx + 1, n),
-        "phiT": (mesh.Nx + 1, n),
-        "phi0_bd": (2, n),
-        "phiT_bd": (2, n),
-    }
-    for name, shape in expected.items():
-        got = getattr(state, name).shape
-        if got != shape:
-            raise ShapeError(f"state block {name}: expected shape {shape}, got {got}")
-    return n
-
 
 @dataclass
-class ControlBundle:
+class ControlBundle(_Bundle):
+    names: ClassVar[tuple] = _TABLE["control"]
     u: np.ndarray  # (Nt+1, Nx+1, m_u)
     w: np.ndarray  # (Nt+1, 2, m_w)
     u0: np.ndarray  # (Nx+1, m_u)
@@ -92,26 +177,10 @@ class ControlBundle:
     def m_w(self) -> int:
         return self.w.shape[2]
 
-    def blocks(self):
-        return tuple(getattr(self, name) for name in _CONTROL_BLOCKS)
-
-    def copy(self) -> "ControlBundle":
-        return ControlBundle(*(b.copy() for b in self.blocks()))
-
-
-def zero_controls(mesh: Mesh, m_u: int, m_w: int) -> ControlBundle:
-    return ControlBundle(
-        u=np.zeros((mesh.Nt + 1, mesh.Nx + 1, m_u)),
-        w=np.zeros((mesh.Nt + 1, 2, m_w)),
-        u0=np.zeros((mesh.Nx + 1, m_u)),
-        uT=np.zeros((mesh.Nx + 1, m_u)),
-        w0=np.zeros((2, m_w)),
-        wT=np.zeros((2, m_w)),
-    )
-
 
 @dataclass
-class CoStateBundle:
+class CoStateBundle(_Bundle):
+    names: ClassVar[tuple] = _TABLE["costate"]
     psi: np.ndarray  # (Nt+1, Nx+1, n)
     omega: np.ndarray  # (Nt+1, 2, n)
     psi0: np.ndarray  # (Nx+1, n)
@@ -119,24 +188,32 @@ class CoStateBundle:
     omega0: np.ndarray  # (2, n)
     omegaT: np.ndarray  # (2, n)
 
-    def blocks(self):
-        return tuple(
-            getattr(self, f.name) for f in dc_fields(self)
-        )
 
-    def copy(self) -> "CoStateBundle":
-        return CoStateBundle(*(b.copy() for b in self.blocks()))
+def zero_state(mesh: Mesh, n: int) -> StateBundle:
+    shapes = block_shapes(mesh.Nt, mesh.Nx, (n,) * len(LAYOUTS))
+    return StateBundle(*map(np.zeros, shapes))
 
 
 def zero_costate(mesh: Mesh, n: int) -> CoStateBundle:
-    return CoStateBundle(
-        psi=np.zeros((mesh.Nt + 1, mesh.Nx + 1, n)),
-        omega=np.zeros((mesh.Nt + 1, 2, n)),
-        psi0=np.zeros((mesh.Nx + 1, n)),
-        psiT=np.zeros((mesh.Nx + 1, n)),
-        omega0=np.zeros((2, n)),
-        omegaT=np.zeros((2, n)),
-    )
+    shapes = block_shapes(mesh.Nt, mesh.Nx, (n,) * len(LAYOUTS))
+    return CoStateBundle(*map(np.zeros, shapes))
+
+
+def zero_controls(mesh: Mesh, m_u: int, m_w: int) -> ControlBundle:
+    dims = tuple(L.control_dim(m_u, m_w) for L in LAYOUTS)
+    return ControlBundle(*map(np.zeros, block_shapes(mesh.Nt, mesh.Nx, dims)))
+
+
+def check_state_shapes(mesh: Mesh, state: StateBundle) -> int:
+    """Validate all six blocks against the mesh; returns the state dimension."""
+    n = state.phi.shape[-1] if state.phi.ndim == 3 else -1
+    expected = block_shapes(mesh.Nt, mesh.Nx, (n,) * len(LAYOUTS))
+    for name, shape, block in zip(state.names, expected, state.blocks()):
+        if block.shape != shape:
+            raise ShapeError(
+                f"state block {name}: expected shape {shape}, got {block.shape}"
+            )
+    return n
 
 
 @dataclass
@@ -205,28 +282,22 @@ def derive_slots(mesh: Mesh, state: StateBundle) -> DerivedSlots:
 
 @dataclass(frozen=True)
 class FlatIndex:
-    """Deterministic bijection between the six state blocks and a flat
-    coordinate range.
+    """Deterministic bijection between the six blocks of a bundle and a
+    flat coordinate range.
 
-    Block order: phi (t-major, then x, then component), phi_bd, phi0,
-    phiT, phi0_bd, phiT_bd.
+    Blocks follow the layout table's order, each flattened in C order
+    (phi: t-major, then x, then component).  dims holds the component
+    count of each block.
     """
 
     Nt: int
     Nx: int
-    n: int
+    dims: tuple
+    bundle: type = StateBundle
 
     @property
     def shapes(self):
-        nt, nx, n = self.Nt + 1, self.Nx + 1, self.n
-        return (
-            (nt, nx, n),
-            (nt, 2, n),
-            (nx, n),
-            (nx, n),
-            (2, n),
-            (2, n),
-        )
+        return block_shapes(self.Nt, self.Nx, self.dims)
 
     @property
     def sizes(self):
@@ -246,24 +317,29 @@ class FlatIndex:
 
 
 def flat_index(mesh: Mesh, n: int) -> FlatIndex:
-    return FlatIndex(Nt=mesh.Nt, Nx=mesh.Nx, n=n)
+    return FlatIndex(Nt=mesh.Nt, Nx=mesh.Nx, dims=(n,) * len(LAYOUTS))
 
 
-def pack(state: StateBundle) -> np.ndarray:
-    return np.concatenate([b.ravel() for b in state.blocks()])
+def control_index(mesh: Mesh, m_u: int, m_w: int) -> FlatIndex:
+    dims = tuple(L.control_dim(m_u, m_w) for L in LAYOUTS)
+    return FlatIndex(Nt=mesh.Nt, Nx=mesh.Nx, dims=dims, bundle=ControlBundle)
 
 
-def unpack(idx: FlatIndex, flat: np.ndarray) -> StateBundle:
+def pack(bundle: _Bundle) -> np.ndarray:
+    return np.concatenate([b.ravel() for b in bundle.blocks()])
+
+
+def unpack(idx: FlatIndex, flat: np.ndarray):
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (idx.total,):
         raise ShapeError(f"expected flat length {idx.total}, got {flat.shape}")
     parts = []
     for off, size, shape in zip(idx.offsets, idx.sizes, idx.shapes):
         parts.append(flat[off : off + size].reshape(shape))
-    return StateBundle(*parts)
+    return idx.bundle(*parts)
 
 
-def sup_distance(a: StateBundle, b: StateBundle) -> float:
+def sup_distance(a: _Bundle, b: _Bundle) -> float:
     """Maximum absolute componentwise difference over all six blocks."""
     worst = 0.0
     for ba, bb in zip(a.blocks(), b.blocks()):

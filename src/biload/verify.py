@@ -29,7 +29,7 @@ from .adjoint import (
     solve_costate,
 )
 from .errors import ConfigError, DivergenceError, SingularSystemError
-from .forward import SolverConfig, eval_cost, solve_forward
+from .forward import SolverConfig, assemble_sweep, eval_cost, solve_forward
 from .kernels import (
     COST_SHAPES,
     KERNEL_SHAPES,
@@ -43,9 +43,12 @@ from .kernels import (
 )
 from .mesh import CurveMesh, Mesh, StencilKind, apply_stencil, curve_diff
 from .state import (
+    CONTROL_BLOCKS,
+    LAYOUT,
     ControlBundle,
     CoStateBundle,
     StateBundle,
+    control_index,
     derive_slots,
     flat_index,
     pack,
@@ -53,8 +56,6 @@ from .state import (
     zero_controls,
     zero_state,
 )
-
-CONTROL_BLOCKS = ("u", "w", "u0", "uT", "w0", "wT")
 
 _TIGHT = SolverConfig(tol=1e-12, max_iter=2000)
 
@@ -111,42 +112,9 @@ def fd_directional(
 # ---------------------------------------------------------------------------
 
 
-def _control_shapes(mesh: Mesh, m_u: int, m_w: int):
-    return (
-        ("u", (mesh.Nt + 1, mesh.Nx + 1, m_u)),
-        ("w", (mesh.Nt + 1, 2, m_w)),
-        ("u0", (mesh.Nx + 1, m_u)),
-        ("uT", (mesh.Nx + 1, m_u)),
-        ("w0", (2, m_w)),
-        ("wT", (2, m_w)),
-    )
-
-
-def _unpack_controls(mesh: Mesh, m_u: int, m_w: int, flat: np.ndarray) -> ControlBundle:
-    parts, off = {}, 0
-    for name, shape in _control_shapes(mesh, m_u, m_w):
-        size = int(np.prod(shape))
-        parts[name] = flat[off : off + size].reshape(shape)
-        off += size
-    return ControlBundle(**parts)
-
-
-def _pack_controls(controls: ControlBundle) -> np.ndarray:
-    return np.concatenate([b.ravel() for b in controls.blocks()])
-
-
-def _linearized_rhs(problem, mesh, cache, dtables: SlotTables) -> dict:
+def _linearized_terms(problem, mesh, cache, dtables: SlotTables):
     """Differential of the right-hand-side accumulation: kernel partials
     at the base state contracted with perturbed slot fields."""
-    n = problem.n
-    acc = {
-        "interior": np.zeros((mesh.Nt + 1, mesh.Nx + 1, n)),
-        "boundary": np.zeros((mesh.Nt + 1, 2, n)),
-        "initial": np.zeros((mesh.Nx + 1, n)),
-        "final": np.zeros((mesh.Nx + 1, n)),
-        "initial_bd": np.zeros((2, n)),
-        "final_bd": np.zeros((2, n)),
-    }
     for kid, kernel in problem.kernels.items():
         shape = KERNEL_SHAPES[kid]
         full = _full_letters(shape)
@@ -157,43 +125,25 @@ def _linearized_rhs(problem, mesh, cache, dtables: SlotTables) -> dict:
             term = np.einsum("...nd,...d->...n", cache[(kid, slot)], darr)
             dF = term if dF is None else dF + term
         if dF is not None:
-            acc[shape.eq] += forward_contract(mesh, kid, dF)
-    return acc
+            yield shape.eq, forward_contract(mesh, kid, dF)
 
 
 def _linearized_sweep(problem, mesh, cache, dstate, dcontrols):
     dslots = derive_slots(mesh, dstate)
     dtables = slot_tables(dstate, dslots, dcontrols)
-    acc = _linearized_rhs(problem, mesh, cache, dtables)
-    phi = acc["interior"]
-    phi[:, 0, :] = acc["boundary"][:, 0, :]
-    phi[:, -1, :] = acc["boundary"][:, -1, :]
-    return StateBundle(
-        phi=phi,
-        phi_bd=acc["boundary"],
-        phi0=acc["initial"],
-        phiT=acc["final"],
-        phi0_bd=acc["initial_bd"],
-        phiT_bd=acc["final_bd"],
-    ), dtables
+    terms = _linearized_terms(problem, mesh, cache, dtables)
+    return assemble_sweep(mesh, problem.n, terms), dtables
 
 
 def _linearized_cost(problem, mesh, cache, dtables: SlotTables) -> float:
     dJ = 0.0
     for name, term in problem.cost_terms():
-        _shape, families = COST_SHAPES[name]
+        shape, families = COST_SHAPES[name]
         for slot in term.partials:
             CF = cache[("cost", name, slot)]
             fam = next(f for f in families if slot in dtables.family(f))
             darr = dtables.family(fam)[slot]
-            if name == "F1":
-                dJ += float(np.einsum("i,j,ijd,ijd->", mesh.wt, mesh.wx, CF, darr))
-            elif name == "G1":
-                dJ += float(np.einsum("i,ibd,ibd->", mesh.wt, CF, darr))
-            elif name == "F0":
-                dJ += float(np.einsum("j,jd,jd->", mesh.wx, CF, darr))
-            else:
-                dJ += float(np.sum(CF * darr))
+            dJ += LAYOUT[shape.eq].quad(mesh, CF, darr, comp="d")
     return dJ
 
 
@@ -245,14 +195,15 @@ def dto_solve(
         dJdPhi[col] = _linearized_cost(problem, mesh, cache, dtables)
         basis[col] = 0.0
 
-    M = sum(int(np.prod(s)) for _, s in _control_shapes(mesh, problem.m_u, problem.m_w))
+    cidx = control_index(mesh, problem.m_u, problem.m_w)
+    M = cidx.total
     B = np.empty((N, M))
     dJdU = np.empty(M)
     zst = zero_state(mesh, problem.n)
     cbasis = np.zeros(M)
     for col in range(M):
         cbasis[col] = 1.0
-        dctrl = _unpack_controls(mesh, problem.m_u, problem.m_w, cbasis)
+        dctrl = unpack(cidx, cbasis)
         dsw, dtables = _linearized_sweep(problem, mesh, cache, zst, dctrl)
         B[:, col] = pack(dsw)
         dJdU[col] = _linearized_cost(problem, mesh, cache, dtables)
@@ -265,20 +216,9 @@ def dto_solve(
             "discrete fixed point has a singular linearization"
         ) from exc
     grad_flat = dJdU + B.T @ lam
-    gb = _unpack_controls(mesh, problem.m_u, problem.m_w, grad_flat)
-    mult = unpack(idx, lam)
     return DtoResult(
-        grad=ControlGradient(
-            g_u=gb.u, g_w=gb.w, g_u0=gb.u0, g_uT=gb.uT, g_w0=gb.w0, g_wT=gb.wT
-        ),
-        multipliers=CoStateBundle(
-            psi=mult.phi,
-            omega=mult.phi_bd,
-            psi0=mult.phi0,
-            psiT=mult.phiT,
-            omega0=mult.phi0_bd,
-            omegaT=mult.phiT_bd,
-        ),
+        grad=ControlGradient(*unpack(cidx, grad_flat).blocks()),
+        multipliers=CoStateBundle(*unpack(idx, lam).blocks()),
         state=state,
     )
 
@@ -308,7 +248,7 @@ def _as_field(mesh: Mesh, arr: np.ndarray) -> np.ndarray:
 
 
 def _quad_q(mesh: Mesh, dens: np.ndarray) -> float:
-    return float(np.einsum("i,j,ijn->", mesh.wt, mesh.wx, dens))
+    return LAYOUT["interior"].quad(mesh, dens, comp="n")
 
 
 def _bd_normal_sum(mesh: Mesh, field: np.ndarray) -> float:
@@ -347,9 +287,8 @@ def ibp_residual(mesh: Mesh, grad_p, grad_p_dot, delta_phi):
         - (prod[0, -1, :].sum() - prod[0, 0, :].sum())
     )
     dxA2 = apply_stencil(mesh, StencilKind.Dx, A2)
-    end_body = -float(
-        np.einsum("j,jn->", mesh.wx, dxA2[-1] * dphi[-1] - dxA2[0] * dphi[0])
-    )
+    end_slab = dxA2[-1] * dphi[-1] - dxA2[0] * dphi[0]
+    end_body = -LAYOUT["initial"].quad(mesh, end_slab, comp="n")
     dtA2 = apply_stencil(mesh, StencilKind.Dt, A2)
     walls = -_bd_normal_sum(mesh, dtA2 * dphi)
     body2 = _quad_q(mesh, apply_stencil(mesh, StencilKind.Dtx, A2) * dphi)
@@ -405,10 +344,6 @@ def smooth_direction(mesh: Mesh, block: str, m: int, rng) -> np.ndarray:
     raise ConfigError(f"unknown control block {block!r}")
 
 
-def _block_dim(problem: Problem, block: str) -> int:
-    return problem.m_u if block in ("u", "u0", "uT") else problem.m_w
-
-
 # ---------------------------------------------------------------------------
 # Gradient triangle check
 # ---------------------------------------------------------------------------
@@ -437,6 +372,8 @@ class GradCheckReport:
     tol_dto: float = 1e-5
     tol_adjoint: float = 1e-2
     mesh_level: tuple = (0, 0)  # (Nt, Nx)
+    costate: CoStateBundle = None  # the solved costate the adjoint column used
+    grad: ControlGradient = None  # and its control gradient
 
     @property
     def passed(self) -> bool:
@@ -494,17 +431,19 @@ def gradient_check(
     dto = dto_solve(problem, mesh, controls, cfg).grad if use_dto else None
 
     if blocks is None:
-        blocks = [b for b in CONTROL_BLOCKS if _block_dim(problem, b) > 0]
+        blocks = [b for b in CONTROL_BLOCKS if problem.slot_dim(b) > 0]
     report = GradCheckReport(
         seed=seed,
         fd_eps=fd_eps,
         tol_dto=tol_dto,
         tol_adjoint=tol_adjoint,
         mesh_level=(mesh.Nt, mesh.Nx),
+        costate=costate,
+        grad=grad,
     )
     rng = np.random.default_rng(seed)
     for block in blocks:
-        m = _block_dim(problem, block)
+        m = problem.slot_dim(block)
         for k in range(n_dirs):
             direction = smooth_direction(mesh, block, m, rng)
             fd = fd_directional(problem, mesh, controls, block, direction, fd_eps, cfg)
@@ -591,7 +530,7 @@ def gradient_gap(
         raise DivergenceError("costate solve did not converge in gradient gap")
     grad = control_gradient(problem, mesh, state, slots, controls, costate)
     rng = np.random.default_rng(seed)
-    direction = smooth_direction(mesh, block, _block_dim(problem, block), rng)
+    direction = smooth_direction(mesh, block, problem.slot_dim(block), rng)
     fd = fd_directional(problem, mesh, controls, block, direction, fd_eps, cfg)
     adj = block_pairing(mesh, block, grad.block(block), direction)
     return _rel_gap(adj, fd)

@@ -192,6 +192,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
+    # solver settings that would fake convergence, never converge or trip
+    # the guard at once are config errors, reported before any sweep
+    for bad in ("tol = inf", "tol = nan", "divergence_guard = -1", "relax = 1.5"):
+        cfg = _write_cfg(tmp_path, MINIMAL + f"\n[solver]\n{bad}\n")
+        out = tmp_path / "bad_solver"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "[solver]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_runs_are_byte_identical(tmp_path):

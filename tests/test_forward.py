@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from biload.errors import DivergenceError
+from biload.errors import ConfigError, DivergenceError
 from biload.forward import (
     SolverConfig,
     eval_cost,
-    picard_step,
     residual_flat,
-    rhs_boundary,
-    rhs_interior,
-    rhs_slice,
     solve_forward,
+    sweep_map,
 )
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_mesh
@@ -30,10 +27,16 @@ def test_zero_problem_converges_immediately():
     assert not state.phi.any()
 
 
+def _one_sweep(problem, ctrl, relax=1.0):
+    """One relaxed sweep from the zero bundle: (new state, residual)."""
+    new, rep = solve_forward(problem, MESH, ctrl, SolverConfig(max_iter=1, relax=relax))
+    assert rep.iterations == 1
+    return new, rep.final_residual
+
+
 def test_picard_step_zero_state_residual_zero():
     ctrl = zero_controls(MESH, 0, 0)
-    state = zero_state(MESH, 1)
-    new, residual = picard_step(ZERO_PROBLEM, MESH, state, ctrl, SolverConfig())
+    new, residual = _one_sweep(ZERO_PROBLEM, ctrl)
     assert residual == 0.0
     assert not new.phi.any()
 
@@ -42,8 +45,7 @@ def test_volterra_exp_first_step_by_hand():
     # from the zero bundle one sweep assigns the constant source: phi = 1
     prob = make_model(make_params("volterra_exp"))
     ctrl = zero_controls(MESH, 1, 0)
-    state = zero_state(MESH, 1)
-    new, residual = picard_step(prob, MESH, state, ctrl, SolverConfig())
+    new, residual = _one_sweep(prob, ctrl)
     assert residual == 1.0
     np.testing.assert_allclose(new.phi[:, 1:-1, :], 1.0)
     # no boundary kernels: wall columns mirror the zero trace block
@@ -53,8 +55,7 @@ def test_volterra_exp_first_step_by_hand():
 def test_relaxation_averages_iterates():
     prob = make_model(make_params("volterra_exp"))
     ctrl = zero_controls(MESH, 1, 0)
-    state = zero_state(MESH, 1)
-    new, _ = picard_step(prob, MESH, state, ctrl, SolverConfig(relax=0.25))
+    new, _ = _one_sweep(prob, ctrl, relax=0.25)
     np.testing.assert_allclose(new.phi[:, 1:-1, :], 0.25)
 
 
@@ -80,6 +81,10 @@ def test_divergence_guard_raises_with_block_name():
     )
     with pytest.raises(DivergenceError, match="phi"):
         solve_forward(grower, MESH, zero_controls(MESH, 0, 0), SolverConfig(max_iter=500))
+    # a guard that is not positive and finite is rejected before any sweep
+    for guard in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="divergence_guard"):
+            SolverConfig(divergence_guard=guard)
 
 
 def test_non_convergence_is_reported_not_raised():
@@ -96,6 +101,10 @@ def test_non_convergence_is_reported_not_raised():
     _, rep = solve_forward(slow, MESH, zero_controls(MESH, 0, 0), SolverConfig(max_iter=5))
     assert not rep.converged
     assert rep.iterations == 5
+    # a tolerance that could claim convergence at once (inf) or never (nan)
+    for tol in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ConfigError, match="tol"):
+            SolverConfig(tol=tol)
 
 
 def test_rhs_interior_volterra_constant_plus_memory():
@@ -114,11 +123,10 @@ def test_rhs_interior_volterra_constant_plus_memory():
     slots = derive_slots(MESH, state)
     ctrl = zero_controls(MESH, 0, 0)
     i_half = MESH.Nt // 2
-    val = rhs_interior(prob, MESH, state, slots, ctrl, i_half, 3)
-    assert val[0] == pytest.approx(1.5, abs=1e-14)
+    image = sweep_map(prob, MESH, state, ctrl, slots)
+    assert image.phi[i_half, 3, 0] == pytest.approx(1.5, abs=1e-14)
     # empty running range at the first row
-    val0 = rhs_interior(prob, MESH, state, slots, ctrl, 0, 3)
-    assert val0[0] == pytest.approx(1.0, abs=1e-15)
+    assert image.phi[0, 3, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rhs_interior_at_analytic_fixed_point():
@@ -128,9 +136,9 @@ def test_rhs_interior_at_analytic_fixed_point():
     state.phi[:] = np.exp(mesh.t)[:, None, None]
     slots = derive_slots(mesh, state)
     ctrl = zero_controls(mesh, 1, 0)
+    image = sweep_map(prob, mesh, state, ctrl, slots)
     for i in (0, 50, 200):
-        val = rhs_interior(prob, mesh, state, slots, ctrl, i, 2)
-        assert abs(val[0] - np.exp(mesh.t[i])) <= 1e-4
+        assert abs(image.phi[i, 2, 0] - np.exp(mesh.t[i])) <= 1e-4
 
 
 def test_rhs_boundary_fredholm_of_constant_state():
@@ -144,8 +152,8 @@ def test_rhs_boundary_fredholm_of_constant_state():
     state.phi[:] = 1.0
     slots = derive_slots(MESH, state)
     ctrl = zero_controls(MESH, 0, 0)
-    val = rhs_boundary(prob, MESH, state, slots, ctrl, 3, 0)
-    assert val[0] == pytest.approx(1.0, abs=1e-14)
+    image = sweep_map(prob, MESH, state, ctrl, slots)
+    assert image.phi_bd[3, 0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rhs_boundary_control_passthrough():
@@ -159,9 +167,9 @@ def test_rhs_boundary_control_passthrough():
     slots = derive_slots(MESH, state)
     ctrl = zero_controls(MESH, 0, 1)
     ctrl.w[:] = np.sin(MESH.t)[:, None, None]
+    image = sweep_map(prob, MESH, state, ctrl, slots)
     for i in (0, 4, 8):
-        val = rhs_boundary(prob, MESH, state, slots, ctrl, i, 1)
-        assert val[0] == pytest.approx(np.sin(MESH.t[i]), abs=1e-15)
+        assert image.phi_bd[i, 1, 0] == pytest.approx(np.sin(MESH.t[i]), abs=1e-15)
 
 
 def test_rhs_slice_assignment_and_running_final():
@@ -178,16 +186,13 @@ def test_rhs_slice_assignment_and_running_final():
     state.phi[:] = 1.0
     slots = derive_slots(MESH, state)
     ctrl = zero_controls(MESH, 0, 0)
-    for which in ("initial", "final", "initial_bd", "final_bd"):
-        val = rhs_slice(ZERO_PROBLEM, MESH, state, slots, ctrl, which, 1)
-        assert val[0] == 0.0
-    assert rhs_slice(prob, MESH, state, slots, ctrl, "initial", 2)[0] == pytest.approx(
-        np.sin(np.pi * MESH.x[2]), abs=1e-14
-    )
+    zero = sweep_map(ZERO_PROBLEM, MESH, state, ctrl, slots)
+    for block in (zero.phi0, zero.phiT, zero.phi0_bd, zero.phiT_bd):
+        assert block[1, 0] == 0.0
+    image = sweep_map(prob, MESH, state, ctrl, slots)
+    assert image.phi0[2, 0] == pytest.approx(np.sin(np.pi * MESH.x[2]), abs=1e-14)
     # the final slice integrates the constant trajectory over the horizon
-    assert rhs_slice(prob, MESH, state, slots, ctrl, "final", 2)[0] == pytest.approx(
-        MESH.T_final, abs=1e-14
-    )
+    assert image.phiT[2, 0] == pytest.approx(MESH.T_final, abs=1e-14)
 
 
 def _const_phi_problem():

@@ -8,10 +8,8 @@ from biload.mesh import (
     build_curve_mesh,
     build_mesh,
     curve_diff,
-    quad_boundary,
-    quad_space,
-    quad_time,
 )
+from biload.state import LAYOUT
 
 
 def test_build_mesh_basic():
@@ -38,6 +36,7 @@ def test_build_mesh_normals_and_spacing():
         (-1.0, 4, 0.0, 1.0, 4),
         (1.0, 4, 1.0, 0.0, 4),
         (float("nan"), 4, 0.0, 1.0, 4),
+        (1.0, float("inf"), 0.0, 1.0, 4),
     ],
 )
 def test_build_mesh_rejects_bad_input(args):
@@ -54,49 +53,46 @@ def test_trapezoid_weights_sum_to_length(count, length):
 
 def test_quad_time_constant_exact():
     mesh = build_mesh(1.0, 10, 0.0, 1.0, 4)
-    assert quad_time(mesh, np.ones(11), 0, 10) == pytest.approx(1.0, abs=1e-15)
+    assert mesh.wt @ np.ones(11) == pytest.approx(1.0, abs=1e-15)
+    # every running-integral row is the trapezoid rule on [0, t_i]
+    np.testing.assert_allclose(mesh.volterra_lower @ np.ones(11), mesh.t, atol=1e-15)
 
 
 def test_quad_time_linear_exact():
     mesh = build_mesh(1.0, 4, 0.0, 1.0, 4)
-    assert quad_time(mesh, mesh.t.copy(), 0, 4) == pytest.approx(0.5, abs=1e-15)
+    assert mesh.wt @ mesh.t == pytest.approx(0.5, abs=1e-15)
+    np.testing.assert_allclose(mesh.volterra_lower @ mesh.t, 0.5 * mesh.t**2, atol=1e-15)
 
 
 def test_quad_time_exponential():
     mesh = build_mesh(1.0, 100, 0.0, 1.0, 4)
-    val = quad_time(mesh, np.exp(mesh.t), 0, 100)
+    val = mesh.volterra_lower[-1] @ np.exp(mesh.t)
     assert abs(val - (np.e - 1.0)) <= 2e-5
 
 
 def test_quad_time_empty_range_and_errors():
+    # the running integral over the empty range [0, t_0] is zero
     mesh = build_mesh(1.0, 4, 0.0, 1.0, 4)
-    assert quad_time(mesh, mesh.t.copy(), 2, 2) == 0.0
-    with pytest.raises(IndexError):
-        quad_time(mesh, mesh.t.copy(), 3, 2)
-    with pytest.raises(IndexError):
-        quad_time(mesh, mesh.t.copy(), 0, 5)
-    with pytest.raises(ShapeError):
-        quad_time(mesh, np.ones(3), 0, 2)
+    assert not mesh.volterra_lower[0].any()
+    assert mesh.volterra_lower[0] @ mesh.t == 0.0
 
 
 def test_quad_space_constant_and_sine():
     mesh = build_mesh(1.0, 4, 0.0, 1.0, 64)
-    assert quad_space(mesh, np.ones(65)) == pytest.approx(1.0, abs=1e-15)
-    val = quad_space(mesh, np.sin(np.pi * mesh.x))
+    assert mesh.wx @ np.ones(65) == pytest.approx(1.0, abs=1e-15)
+    val = mesh.wx @ np.sin(np.pi * mesh.x)
     assert abs(val - 2.0 / np.pi) <= 5e-4
-
-
-def test_quad_space_shape_error():
-    mesh = build_mesh(1.0, 4, 0.0, 1.0, 4)
-    with pytest.raises(ShapeError):
-        quad_space(mesh, np.ones(2))
+    # the layout table integrates a slice density with the same weights
+    assert LAYOUT["initial"].quad(mesh, np.sin(np.pi * mesh.x)) == pytest.approx(val, abs=1e-15)
 
 
 def test_quad_boundary():
+    # the wall pairs carry the counting measure: left + right
     mesh = build_mesh(1.0, 4, 0.0, 1.0, 4)
-    assert quad_boundary(mesh, 1.0, 1.0) == 2.0
-    assert quad_boundary(mesh, 0.0, 0.0) == 0.0
-    assert quad_boundary(mesh, 3.0, -3.0) == 0.0
+    quad = LAYOUT["initial_bd"].quad
+    assert quad(mesh, np.array([1.0, 1.0])) == 2.0
+    assert quad(mesh, np.array([0.0, 0.0])) == 0.0
+    assert quad(mesh, np.array([3.0, -3.0])) == 0.0
 
 
 def _grid_field(mesh, fn):

@@ -4,12 +4,19 @@ import pytest
 from biload.errors import ShapeError
 from biload.mesh import build_mesh
 from biload.state import (
+    LAYOUTS,
+    CoStateBundle,
+    FlatIndex,
     StateBundle,
+    check_state_shapes,
+    control_index,
     derive_slots,
     flat_index,
     pack,
     sup_distance,
     unpack,
+    zero_controls,
+    zero_costate,
     zero_state,
 )
 
@@ -96,11 +103,35 @@ def test_derive_slots_shape_mismatch():
         derive_slots(MESH, state)
 
 
-def test_pack_unpack_round_trip_bitwise():
-    idx = flat_index(MESH, 3)
-    state = _random_state(MESH, n=3, seed=5)
-    again = unpack(idx, pack(state))
-    for a, b in zip(state.blocks(), again.blocks()):
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("kind", ["state", "costate", "control"])
+def test_pack_unpack_round_trip_bitwise(kind, m):
+    # every bundle kind follows the layout table: block names, zero
+    # shapes, the flat index, and a bitwise pack/unpack round trip
+    if kind == "control":
+        m_w = (m + 1) % 4  # u- and w-controls may differ in width
+        dims = tuple(m if L.space == "j" else m_w for L in LAYOUTS)
+        zero, idx = zero_controls(MESH, m, m_w), control_index(MESH, m, m_w)
+    elif kind == "costate":
+        dims = (m,) * len(LAYOUTS)
+        zero, idx = zero_costate(MESH, m), FlatIndex(MESH.Nt, MESH.Nx, dims, CoStateBundle)
+    else:
+        dims = (m,) * len(LAYOUTS)
+        zero, idx = zero_state(MESH, m), flat_index(MESH, m)
+        assert check_state_shapes(MESH, zero) == m
+    assert type(zero).names == tuple(getattr(L, kind) for L in LAYOUTS)
+    nt, nx = MESH.Nt + 1, MESH.Nx + 1
+    node_shapes = [(nt, nx), (nt, 2), (nx,), (nx,), (2,), (2,)]
+    expected = [s + (d,) for s, d in zip(node_shapes, dims)]
+    assert [b.shape for b in zero.blocks()] == expected == list(idx.shapes)
+    assert not zero.blocks()[0].any()
+    rng = np.random.default_rng(5)
+    bundle = type(zero)(*(rng.standard_normal(b.shape) for b in zero.blocks()))
+    flat = pack(bundle)
+    assert flat.shape == (idx.total,)
+    again = unpack(idx, flat)
+    assert type(again) is type(bundle)
+    for a, b in zip(bundle.blocks(), again.blocks()):
         assert np.array_equal(a, b)
 
 
