@@ -38,18 +38,16 @@ import numpy as np
 from .errors import ConfigError
 from .forward import SolverConfig, fixed_point
 from .kernels import (
-    COST_SHAPES,
-    KERNEL_SHAPES,
     SLOT_FAMILIES,
+    TERMS,
     Problem,
     check_finite,
     costate_value_contract,
-    eval_cost_density,
-    eval_cost_partial,
     eval_kernel,
     eval_kernel_partial,
     kernel_args,
     slot_tables,
+    term_label,
     transpose_contract,
 )
 from .mesh import Mesh, StencilKind, apply_stencil
@@ -110,19 +108,14 @@ def _zero_partials(problem: Problem, mesh: Mesh) -> dict:
 
 def partial_cache(problem: Problem, mesh: Mesh, tables) -> dict:
     """Kernel and cost partial arrays at a fixed state snapshot, keyed by
-    (kernel_id, slot) and ("cost", name, slot).  The costate solver reuses
-    this across sweeps; the dense-oracle assembly reuses it per column."""
+    (term name, slot).  The costate solver reuses this across sweeps; the
+    dense-oracle assembly reuses it per column."""
     cache = {}
-    for kid, kernel in problem.kernels.items():
-        args = kernel_args(kid, mesh, tables)
-        for slot in kernel.partials:
-            cache[(kid, slot)] = eval_kernel_partial(
-                problem, kid, slot, mesh, tables, args=args
-            )
-    for name, term in problem.cost_terms():
+    for name, term in problem.terms.items():
+        args = kernel_args(name, mesh, tables)
         for slot in term.partials:
-            cache[("cost", name, slot)] = eval_cost_partial(
-                problem, name, slot, mesh, tables
+            cache[(name, slot)] = eval_kernel_partial(
+                problem, name, slot, mesh, tables, args=args
             )
     return cache
 
@@ -138,22 +131,21 @@ def assemble_h_partials(
 ) -> HPartials:
     """Accumulate every slot partial at every node.
 
-    With a zero costate only the direct cost gradients remain; with zero
-    cost integrands and zero costates everything vanishes.
+    A kernel partial is paired with its equation's costate and carried to
+    the producer nodes; a cost partial already lives there.  With a zero
+    costate only the direct cost gradients remain; with zero cost
+    integrands and zero costates everything vanishes.
     """
-    tables = slot_tables(state, slots, controls)
     if cache is None:
-        cache = partial_cache(problem, mesh, tables)
+        cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
     out = _zero_partials(problem, mesh)
-    for kid, kernel in problem.kernels.items():
-        lam = getattr(costate, LAYOUT[KERNEL_SHAPES[kid].eq].costate)
-        for slot in kernel.partials:
-            contrib = transpose_contract(mesh, kid, lam, cache[(kid, slot)])
-            check_finite(f"partial of {kid} wrt {slot}", contrib)
-            out[slot] += contrib
-    for name, term in problem.cost_terms():
-        for slot in term.partials:
-            out[slot] += cache[("cost", name, slot)]
+    # the cache is in term order, kernels first, which fixes the order of the sums
+    for (name, slot), P in cache.items():
+        if TERMS[name].values:
+            lam = getattr(costate, LAYOUT[TERMS[name].eq].costate)
+            P = transpose_contract(mesh, name, lam, P)
+            check_finite(f"partial of {name} wrt {slot}", P)
+        out[slot] += P
     return HPartials(fields=out)
 
 
@@ -349,14 +341,12 @@ def hamiltonian_report(
     """
     tables = slot_tables(state, slots, controls)
     fields = {L.eq: np.zeros(L.nodes(mesh)) for L in LAYOUTS}
-    for kid in problem.kernels:
-        shape = KERNEL_SHAPES[kid]
-        lam = getattr(costate, LAYOUT[shape.eq].costate)
-        F = eval_kernel(problem, kid, mesh, tables)
-        check_finite(f"kernel {kid}", F)
-        fields[LAYOUT[shape.family].eq] += costate_value_contract(mesh, kid, lam, F)
-    for name, _term in problem.cost_terms():
-        dens = eval_cost_density(problem, name, mesh, tables)
-        check_finite(f"cost {name}", dens)
-        fields[COST_SHAPES[name][0].eq] += dens
+    for name in problem.terms:
+        shape = TERMS[name]
+        F = eval_kernel(problem, name, mesh, tables)
+        check_finite(term_label(name), F)
+        if shape.values:
+            lam = getattr(costate, LAYOUT[shape.eq].costate)
+            F = costate_value_contract(mesh, name, lam, F)
+        fields[LAYOUT[shape.family].eq] += F
     return fields

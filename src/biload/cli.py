@@ -8,7 +8,9 @@ refine.  All outputs are CSV files, byte-identical across runs for a
 fixed config and seed.
 
 Exit status: 0 on success (and a passing grad-check), 1 for a failing
-grad-check, 2 for config errors, 3 for solver failures.
+grad-check, 2 for config errors, 3 for solver failures.  optimize exits 0
+whatever its stop reason, `line_search_failed` included; it prints the
+status instead.
 """
 
 from __future__ import annotations

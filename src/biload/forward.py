@@ -26,11 +26,9 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .kernels import (
-    COST_SHAPES,
-    KERNEL_SHAPES,
+    TERMS,
     Problem,
     check_finite,
-    eval_cost_density,
     eval_kernel,
     forward_contract,
     slot_tables,
@@ -99,7 +97,7 @@ def _kernel_terms(problem: Problem, mesh: Mesh, tables):
     for kid in problem.kernels:
         F = eval_kernel(problem, kid, mesh, tables)
         check_finite(f"kernel {kid}", F)
-        yield KERNEL_SHAPES[kid].eq, forward_contract(mesh, kid, F)
+        yield TERMS[kid].eq, forward_contract(mesh, kid, F)
 
 
 def sweep_map(
@@ -186,9 +184,9 @@ def eval_cost(
     tables = slot_tables(state, slots, controls)
     J = 0.0
     for name, _term in problem.cost_terms():
-        dens = eval_cost_density(problem, name, mesh, tables)
+        dens = eval_kernel(problem, name, mesh, tables)
         check_finite(f"cost {name}", dens)
-        J += LAYOUT[COST_SHAPES[name][0].eq].quad(mesh, dens)
+        J += LAYOUT[TERMS[name].eq].quad(mesh, dens)
     return J
 
 

@@ -1,6 +1,5 @@
-"""Problem definition: kernel tables, cost integrands, and the evaluation
-engine shared by the forward sweep, the costate assembly, and the discrete
-adjoint oracle.
+"""Problem definition: the term table, and the evaluation engine shared by
+the forward sweep, the costate assembly, and the discrete adjoint oracle.
 
 A problem consists of up to thirty kernels.  Six drive the trajectory
 equation (f0..f5), six the boundary-trace equation (g0..g5), three each
@@ -21,14 +20,23 @@ whole horizon ("full"), or be absent ("none"); the producer space may be
 the consumer point ("same"), integrate over the interior ("omega"), or
 sum over the two boundary points ("gamma").
 
+The four cost integrands are terms of the same kind: F1 on the grid, G1 on
+the wall strip, F0 on the initial slice (also reading the final slice) and
+G0 on the initial wall pair (also reading the final pair), each with its
+producer point at its consumer node and no value axis.  `TERMS` holds
+every term's `KernelShape`, keyed by kernel id or cost name.  Each shape
+works out its argument layout once, at import: the consumer and full axis
+letters, the natural axis letters of every slot family it reads, and the
+transpose and reshape that line those slot arrays up with the full axes.
+
 Kernels and cost integrands are plain vectorized callables taking a
 `KernelArgs` namespace.  Coordinate attributes (t, x, xi, s, y, eta) and
 slot attributes (phi, q, u, ...) come pre-shaped so that numpy
 broadcasting lines every axis up; a kernel body is ordinary array
-arithmetic.  Values must broadcast to shape (*grid_axes, n); partial
-derivatives to (*grid_axes, n, d) where d is the dimension of the slot
-being differentiated (note the extra trailing axis: append `[..., None]`
-when reusing coordinate or slot arrays inside a partial).
+arithmetic.  Kernel values must broadcast to shape (*grid_axes, n) and
+cost densities to grid_axes; partial derivatives carry one more trailing
+axis of the dimension d of the slot being differentiated (append
+`[..., None]` when reusing coordinate or slot arrays inside a partial).
 """
 
 from __future__ import annotations
@@ -46,11 +54,11 @@ from .state import (
     ControlBundle,
     DerivedSlots,
     StateBundle,
-    axis_sizes,
+    node_shape,
 )
 
 # ---------------------------------------------------------------------------
-# Slot and kernel tables
+# Slot and term tables
 # ---------------------------------------------------------------------------
 
 SLOT_FAMILIES: Mapping[str, tuple] = {
@@ -66,12 +74,82 @@ SLOT_FAMILY_OF = {
     slot: fam for fam, slots in SLOT_FAMILIES.items() for slot in slots
 }
 
+#: Kernel-argument name and mesh coordinate array of each axis letter (see
+#: state.axis_sizes).
+_COORDS = {
+    "i": ("t", "t"),
+    "j": ("x", "x"),
+    "b": ("xi", "bd_x"),
+    "k": ("s", "t"),
+    "l": ("y", "x"),
+    "e": ("eta", "bd_x"),
+}
+_PRODUCER_SPACE = {"omega": "l", "gamma": "e"}
+
+
 @dataclass(frozen=True)
 class KernelShape:
+    """Where a term's producer point sits relative to its consumer node,
+    and the argument layout that follows from it."""
+
     eq: str  # interior | boundary | initial | final | initial_bd | final_bd
-    family: str  # slot bundle the kernel reads
+    family: str  # slot bundle the term reads
     time_rel: str  # same | volterra | full | none
     space_rel: str  # same | omega | gamma
+    more_families: tuple = ()  # further bundles a cost integrand reads
+    values: str = "n"  # value axes: "n" for a kernel, none for a cost
+    # worked out from the fields above:
+    families: tuple = field(init=False, repr=False, compare=False)
+    consumer: str = field(init=False, repr=False, compare=False)  # node axes
+    full: str = field(init=False, repr=False, compare=False)  # + producer axes
+    #: family -> natural axis letters of its slot arrays as this term reads them
+    slot_letters: Mapping = field(init=False, repr=False, compare=False)
+    #: (argument name, mesh attribute, reshape target) of each coordinate
+    coords: tuple = field(init=False, repr=False, compare=False)
+    #: family -> (axis permutation, source axis of each full letter or None)
+    layouts: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        node = LAYOUT[self.eq]
+        running = self.time_rel in ("volterra", "full")
+        space = _PRODUCER_SPACE.get(self.space_rel, node.space)
+        full = node.letters + ("k" if running else "") + _PRODUCER_SPACE.get(
+            self.space_rel, ""
+        )
+        families = (self.family, *self.more_families)
+        letters = {}
+        for fam in families:
+            # slice families carry no time axis
+            time = ("k" if running else node.time,) if LAYOUT[fam].time else ()
+            letters[fam] = time + (space,)
+        layouts = {}
+        for fam, lets in letters.items():
+            order = sorted(range(len(lets)), key=lambda a: full.index(lets[a]))
+            pattern = tuple(lets.index(c) if c in lets else None for c in full)
+            layouts[fam] = ((*order, len(lets)), pattern)
+        coords = tuple(
+            (*_COORDS[c], tuple(-1 if d == c else 1 for d in full) + (1,))
+            for c in full
+        )
+        for name, value in (
+            ("families", families),
+            ("consumer", node.letters),
+            ("full", full),
+            ("slot_letters", letters),
+            ("coords", coords),
+            ("layouts", layouts),
+        ):
+            object.__setattr__(self, name, value)
+
+    def arrange(self, slot: str, tables: Mapping) -> np.ndarray:
+        """A slot's natural-layout array from tables (family -> slot ->
+        array), moved so its axes land at their letter positions within
+        the full axes, singleton elsewhere, component axis last."""
+        fam = SLOT_FAMILY_OF[slot]
+        perm, pattern = self.layouts[fam]
+        arr = tables[fam][slot]
+        shape = tuple(1 if a is None else arr.shape[a] for a in pattern)
+        return np.transpose(arr, perm).reshape(shape + arr.shape[-1:])
 
 
 KERNEL_SHAPES: Mapping[str, KernelShape] = {
@@ -108,54 +186,21 @@ KERNEL_SHAPES: Mapping[str, KernelShape] = {
 }
 
 KERNEL_IDS = tuple(KERNEL_SHAPES)
+COST_NAMES = ("F1", "G1", "F0", "G0")
 
-#: Kernel-argument name and mesh coordinate array of each axis letter (see
-#: state.axis_sizes).
-_COORDS = {
-    "i": ("t", "t"),
-    "j": ("x", "x"),
-    "b": ("xi", "bd_x"),
-    "k": ("s", "t"),
-    "l": ("y", "x"),
-    "e": ("eta", "bd_x"),
+#: Every kernel and cost integrand, kernels first.
+TERMS: Mapping[str, KernelShape] = {
+    **KERNEL_SHAPES,
+    "F1": KernelShape("interior", "S", "same", "same", values=""),
+    "G1": KernelShape("boundary", "S_bd", "same", "same", values=""),
+    "F0": KernelShape("initial", "S0", "none", "same", ("ST",), values=""),
+    "G0": KernelShape("initial_bd", "S0_bd", "none", "same", ("ST_bd",), values=""),
 }
 
 
-def _slot_letters(shape: KernelShape, family: str = None) -> tuple:
-    """Axis letters of the slot arrays of one family (by default the
-    kernel's own) as this kernel reads them, natural order."""
-    c_time, c_space = LAYOUT[shape.eq].time, LAYOUT[shape.eq].space
-    if LAYOUT[family or shape.family].time:
-        time_letter = "k" if shape.time_rel in ("volterra", "full") else c_time
-        if shape.space_rel == "omega":
-            space_letter = "l"
-        elif shape.space_rel == "gamma":
-            space_letter = "e"
-        else:
-            space_letter = c_space
-        return (time_letter, space_letter)
-    # slice families carry no time axis
-    if shape.space_rel == "omega":
-        return ("l",)
-    if shape.space_rel == "gamma":
-        return ("e",)
-    return (c_space,)
-
-
-def _full_letters(shape: KernelShape) -> str:
-    consumers = LAYOUT[shape.eq].letters
-    extra = ""
-    if shape.time_rel in ("volterra", "full"):
-        extra += "k"
-    if shape.space_rel == "omega":
-        extra += "l"
-    elif shape.space_rel == "gamma":
-        extra += "e"
-    return consumers + extra
-
-
-def consumer_letters(shape: KernelShape) -> str:
-    return LAYOUT[shape.eq].letters
+def term_label(name: str) -> str:
+    """"kernel f3" or "cost F1", for messages."""
+    return f"{'cost' if name in COST_NAMES else 'kernel'} {name}"
 
 
 # ---------------------------------------------------------------------------
@@ -179,125 +224,47 @@ class KernelArgs:
             ) from None
 
 
-@dataclass
-class SlotTables:
-    """Natural-layout slot arrays keyed by slot name, per family."""
-
-    tables: Mapping[str, Mapping[str, np.ndarray]]
-
-    def family(self, fam: str) -> Mapping[str, np.ndarray]:
-        return self.tables[fam]
+#: Which of (state, slots, controls) holds each slot array.
+_SLOT_SOURCE = {
+    slot: 0 if slot in StateBundle.names else 2 if slot in CONTROL_BLOCKS else 1
+    for slot in SLOT_FAMILY_OF
+}
 
 
 def slot_tables(
     state: StateBundle, slots: DerivedSlots, controls: ControlBundle
-) -> SlotTables:
-    return SlotTables(
-        {
-            "S": {
-                "phi": state.phi,
-                "p": slots.p,
-                "q": slots.q,
-                "phi_dot": slots.phi_dot,
-                "p_dot": slots.p_dot,
-                "q_dot": slots.q_dot,
-                "u": controls.u,
-            },
-            "S_bd": {
-                "phi_bd": state.phi_bd,
-                "phi_bd_dot": slots.phi_bd_dot,
-                "p_bd": slots.p_bd,
-                "p_bd_dot": slots.p_dot_bd,
-                "w": controls.w,
-            },
-            "S0": {
-                "phi0": state.phi0,
-                "p0": slots.p0,
-                "q0": slots.q0,
-                "u0": controls.u0,
-            },
-            "ST": {
-                "phiT": state.phiT,
-                "pT": slots.pT,
-                "qT": slots.qT,
-                "uT": controls.uT,
-            },
-            "S0_bd": {
-                "phi0_bd": state.phi0_bd,
-                "p0_bd": slots.p0_bd,
-                "w0": controls.w0,
-            },
-            "ST_bd": {
-                "phiT_bd": state.phiT_bd,
-                "pT_bd": slots.pT_bd,
-                "wT": controls.wT,
-            },
-        }
-    )
+) -> dict:
+    """Natural-layout slot arrays: family -> slot name -> array."""
+    sources = (state, slots, controls)
+    return {
+        fam: {slot: getattr(sources[_SLOT_SOURCE[slot]], slot) for slot in names}
+        for fam, names in SLOT_FAMILIES.items()
+    }
 
 
-def _place_coord(values: np.ndarray, letter: str, full: str) -> np.ndarray:
-    shape = [1] * (len(full) + 1)
-    shape[full.index(letter)] = values.shape[0]
-    return values.reshape(shape)
-
-
-def _arrange(arr: np.ndarray, arr_letters: tuple, full: str) -> np.ndarray:
-    """Reshape a natural-layout slot array (axes arr_letters + component)
-    so its axes land at their letter positions within `full`, singleton
-    elsewhere, component axis last."""
-    order = sorted(range(len(arr_letters)), key=lambda a: full.index(arr_letters[a]))
-    moved = np.transpose(arr, [*order, len(arr_letters)])
-    sorted_letters = [arr_letters[a] for a in order]
-    shape = []
-    pos = 0
-    for letter in full:
-        if pos < len(sorted_letters) and letter == sorted_letters[pos]:
-            shape.append(moved.shape[pos])
-            pos += 1
-        else:
-            shape.append(1)
-    return moved.reshape(tuple(shape) + (moved.shape[-1],))
-
-
-def _arg_spec(kid: str):
-    """(shape, slot families read) of a kernel id or a cost name."""
-    if kid in COST_SHAPES:
-        return COST_SHAPES[kid]
-    shape = KERNEL_SHAPES[kid]
-    return shape, (shape.family,)
-
-
-def kernel_args(kid: str, mesh: Mesh, tables: SlotTables) -> KernelArgs:
-    """Build the argument namespace for one kernel, or one cost integrand
-    when kid is a cost name (F1, G1, F0, G0), on this mesh."""
-    shape, families = _arg_spec(kid)
-    full = _full_letters(shape)
-    values: dict = {}
-    for c in full:
-        name, coord = _COORDS[c]
-        values[name] = _place_coord(getattr(mesh, coord), c, full)
-    for fam in families:
-        letters = _slot_letters(shape, fam)
-        for slot, arr in tables.family(fam).items():
-            values[slot] = _arrange(arr, letters, full)
+def kernel_args(name: str, mesh: Mesh, tables: Mapping) -> KernelArgs:
+    """Build the argument namespace of one kernel or cost integrand on
+    this mesh."""
+    shape = TERMS[name]
+    values = {
+        arg: getattr(mesh, coord).reshape(target)
+        for arg, coord, target in shape.coords
+    }
+    for fam in shape.families:
+        for slot in tables[fam]:
+            values[slot] = shape.arrange(slot, tables)
     return KernelArgs(values)
 
 
-def _full_shape(shape: KernelShape, mesh: Mesh) -> tuple:
-    sizes = axis_sizes(mesh.Nt, mesh.Nx)
-    return tuple(sizes[c] for c in _full_letters(shape))
-
-
 # ---------------------------------------------------------------------------
-# Kernel and cost containers
+# Terms and problems
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """One registered kernel: its evaluation map and the partial of the
-    output with respect to every slot it reads."""
+    """One registered kernel or cost integrand: its evaluation map and the
+    partial of the output with respect to every slot it reads."""
 
     fn: Callable[[KernelArgs], np.ndarray]
     partials: Mapping[str, Callable[[KernelArgs], np.ndarray]] = field(
@@ -305,24 +272,7 @@ class Kernel:
     )
 
 
-@dataclass(frozen=True)
-class CostTerm:
-    """One cost integrand (scalar density) with its slot gradients."""
-
-    fn: Callable[[KernelArgs], np.ndarray]
-    partials: Mapping[str, Callable[[KernelArgs], np.ndarray]] = field(
-        default_factory=dict
-    )
-
-
-#: Pseudo-shapes giving each cost integrand its consumer layout and the
-#: slot families it may read.
-COST_SHAPES = {
-    "F1": (KernelShape("interior", "S", "same", "same"), ("S",)),
-    "G1": (KernelShape("boundary", "S_bd", "same", "same"), ("S_bd",)),
-    "F0": (KernelShape("initial", "S0", "none", "same"), ("S0", "ST")),
-    "G0": (KernelShape("initial_bd", "S0_bd", "none", "same"), ("S0_bd", "ST_bd")),
-}
+CostTerm = Kernel
 
 
 @dataclass(frozen=True)
@@ -331,52 +281,45 @@ class Problem:
 
     Unregistered kernels behave exactly like zero kernels; missing cost
     terms contribute nothing.  bounds, when given, maps control block
-    names to (lo, hi) boxes for the optimizer.
+    names to (lo, hi) boxes for the optimizer.  terms maps the name of
+    every registered kernel and cost integrand to it, kernels first.
     """
 
     n: int
     m_u: int
     m_w: int
     kernels: Mapping[str, Kernel]
-    cost_F1: Optional[CostTerm] = None
-    cost_G1: Optional[CostTerm] = None
-    cost_F0: Optional[CostTerm] = None
-    cost_G0: Optional[CostTerm] = None
+    cost_F1: Optional[Kernel] = None
+    cost_G1: Optional[Kernel] = None
+    cost_F0: Optional[Kernel] = None
+    cost_G0: Optional[Kernel] = None
     bounds: Optional[Mapping[str, tuple]] = None
+    terms: Mapping[str, Kernel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m_u < 0 or self.m_w < 0:
             raise ConfigError(
                 f"bad dimensions n={self.n}, m_u={self.m_u}, m_w={self.m_w}"
             )
-        for kid, kernel in self.kernels.items():
+        for kid in self.kernels:
             if kid not in KERNEL_SHAPES:
                 raise ConfigError(f"unknown kernel id {kid!r}")
-            fam = KERNEL_SHAPES[kid].family
-            for slot in kernel.partials:
-                if slot not in SLOT_FAMILIES[fam]:
+        terms = dict(self.kernels)
+        for name in COST_NAMES:
+            if getattr(self, f"cost_{name}") is not None:
+                terms[name] = getattr(self, f"cost_{name}")
+        object.__setattr__(self, "terms", terms)
+        for name, term in terms.items():
+            families = TERMS[name].families
+            for slot in term.partials:
+                if SLOT_FAMILY_OF.get(slot) not in families:
                     raise ConfigError(
-                        f"kernel {kid} reads bundle {fam}; "
+                        f"{term_label(name)} reads {'/'.join(families)}; "
                         f"slot {slot!r} is not in it"
                     )
-        for name in ("F1", "G1", "F0", "G0"):
-            term = getattr(self, f"cost_{name}")
-            if term is None:
-                continue
-            allowed = set()
-            for fam in COST_SHAPES[name][1]:
-                allowed.update(SLOT_FAMILIES[fam])
-            for slot in term.partials:
-                if slot not in allowed:
-                    raise ConfigError(f"cost {name}: slot {slot!r} not readable")
 
     def cost_terms(self):
-        out = []
-        for name in ("F1", "G1", "F0", "G0"):
-            term = getattr(self, f"cost_{name}")
-            if term is not None:
-                out.append((name, term))
-        return out
+        return [(name, t) for name, t in self.terms.items() if name in COST_NAMES]
 
     def slot_dim(self, slot: str) -> int:
         if slot in CONTROL_BLOCKS:
@@ -389,23 +332,36 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 
-def eval_kernel(
-    problem: Problem, kid: str, mesh: Mesh, tables: SlotTables, args: KernelArgs = None
-) -> np.ndarray:
-    """Evaluate a kernel on the full consumer x producer grid: shape
-    (*grid_axes, n)."""
-    shape = KERNEL_SHAPES[kid]
+def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args):
+    """The value (slot None) or one slot partial of a term on its full
+    grid: shape (*grid_axes, *value_axes[, slot_dim])."""
+    shape = TERMS[name]
+    term = problem.terms[name]
     if args is None:
-        args = kernel_args(kid, mesh, tables)
-    raw = np.asarray(problem.kernels[kid].fn(args), dtype=float)
-    target = _full_shape(shape, mesh) + (problem.n,)
+        args = kernel_args(name, mesh, tables)
+    dims = (problem.n,) * len(shape.values)
+    if slot is None:
+        raw = term.fn(args)
+    else:
+        raw = term.partials[slot](args)
+        dims += (problem.slot_dim(slot),)
+    raw = np.asarray(raw, dtype=float)
+    target = node_shape(shape.full, mesh.Nt, mesh.Nx) + dims
     try:
         return np.broadcast_to(raw, target)
     except ValueError:
+        what = term_label(name) + ("" if slot is None else f" partial wrt {slot}")
         raise ShapeError(
-            f"kernel {kid}: output shape {raw.shape} does not broadcast "
-            f"to {target}"
+            f"{what}: shape {raw.shape} does not broadcast to {target}"
         ) from None
+
+
+def eval_kernel(
+    problem: Problem, kid: str, mesh: Mesh, tables: Mapping, args: KernelArgs = None
+) -> np.ndarray:
+    """Evaluate a kernel on the full consumer x producer grid, shape
+    (*grid_axes, n), or a cost density on its nodes (kid a cost name)."""
+    return _evaluate(problem, kid, None, mesh, tables, args)
 
 
 def eval_kernel_partial(
@@ -413,22 +369,11 @@ def eval_kernel_partial(
     kid: str,
     slot: str,
     mesh: Mesh,
-    tables: SlotTables,
+    tables: Mapping,
     args: KernelArgs = None,
 ) -> np.ndarray:
-    """Evaluate d(kernel)/d(slot): shape (*grid_axes, n, slot_dim)."""
-    shape = KERNEL_SHAPES[kid]
-    if args is None:
-        args = kernel_args(kid, mesh, tables)
-    raw = np.asarray(problem.kernels[kid].partials[slot](args), dtype=float)
-    target = _full_shape(shape, mesh) + (problem.n, problem.slot_dim(slot))
-    try:
-        return np.broadcast_to(raw, target)
-    except ValueError:
-        raise ShapeError(
-            f"kernel {kid} partial wrt {slot}: shape {raw.shape} does not "
-            f"broadcast to {target}"
-        ) from None
+    """Evaluate d(term)/d(slot): shape (*grid_axes, *value_axes, slot_dim)."""
+    return _evaluate(problem, kid, slot, mesh, tables, args)
 
 
 def _weight_ops(shape: KernelShape, mesh: Mesh, transpose: bool):
@@ -452,8 +397,7 @@ def _weight_ops(shape: KernelShape, mesh: Mesh, transpose: bool):
             subs.append("e")
     if transpose:
         # weight for each consumer axis left free by the producer point
-        slot_set = set(_slot_letters(shape))
-        if c_space == "j" and c_space not in slot_set:
+        if c_space == "j" and c_space not in shape.slot_letters[shape.family]:
             ops.append(mesh.wx)
             subs.append("j")
         # a free boundary-side consumer carries counting weight one
@@ -462,12 +406,26 @@ def _weight_ops(shape: KernelShape, mesh: Mesh, transpose: bool):
 
 def forward_contract(mesh: Mesh, kid: str, F: np.ndarray) -> np.ndarray:
     """Quadrature-contract a kernel value array onto its consumer nodes."""
-    shape = KERNEL_SHAPES[kid]
-    cons = consumer_letters(shape)
-    full = _full_letters(shape)
+    shape = TERMS[kid]
     ops, subs = _weight_ops(shape, mesh, transpose=False)
     return np.einsum(
-        ",".join(subs + [full + "n"]) + "->" + cons + "n", *ops, F
+        ",".join(subs + [shape.full + "n"]) + "->" + shape.consumer + "n", *ops, F
+    )
+
+
+def _transposed(mesh: Mesh, kid: str, lam: np.ndarray, arr: np.ndarray, trail: str):
+    """Pair lam with arr (axes full + "n" + trail) and accumulate onto the
+    producer slot nodes of the kernel's own family."""
+    shape = TERMS[kid]
+    out = "".join(shape.slot_letters[shape.family]) + trail
+    ops, subs = _weight_ops(shape, mesh, transpose=True)
+    return np.einsum(
+        ",".join([shape.consumer + "n", shape.full + "n" + trail] + subs)
+        + "->"
+        + out,
+        lam,
+        arr,
+        *ops,
     )
 
 
@@ -484,17 +442,7 @@ def transpose_contract(
     kernels, the interior quadrature for a free interior coordinate, the
     counting measure for a free boundary side.
     """
-    shape = KERNEL_SHAPES[kid]
-    cons = consumer_letters(shape)
-    full = _full_letters(shape)
-    out = "".join(_slot_letters(shape)) + "d"
-    ops, subs = _weight_ops(shape, mesh, transpose=True)
-    return np.einsum(
-        ",".join([cons + "n", full + "nd"] + subs) + "->" + out,
-        lam,
-        P,
-        *ops,
-    )
+    return _transposed(mesh, kid, lam, P, "d")
 
 
 def costate_value_contract(
@@ -503,52 +451,7 @@ def costate_value_contract(
     """Like transpose_contract but pairing costate with kernel values,
     attributing the scalar result to the producer nodes (used by the
     diagnostic per-node energy report)."""
-    shape = KERNEL_SHAPES[kid]
-    cons = consumer_letters(shape)
-    full = _full_letters(shape)
-    out = "".join(_slot_letters(shape))
-    ops, subs = _weight_ops(shape, mesh, transpose=True)
-    return np.einsum(
-        ",".join([cons + "n", full + "n"] + subs) + "->" + out,
-        lam,
-        F,
-        *ops,
-    )
-
-
-def eval_cost_density(
-    problem: Problem, which: str, mesh: Mesh, tables: SlotTables
-) -> np.ndarray:
-    """Evaluate one cost integrand over its consumer nodes (no weights)."""
-    term = getattr(problem, f"cost_{which}")
-    shape, _ = COST_SHAPES[which]
-    args = kernel_args(which, mesh, tables)
-    raw = np.asarray(term.fn(args), dtype=float)
-    target = _full_shape(shape, mesh)
-    try:
-        return np.broadcast_to(raw, target)
-    except ValueError:
-        raise ShapeError(
-            f"cost {which}: density shape {raw.shape} does not broadcast "
-            f"to {target}"
-        ) from None
-
-
-def eval_cost_partial(
-    problem: Problem, which: str, slot: str, mesh: Mesh, tables: SlotTables
-) -> np.ndarray:
-    term = getattr(problem, f"cost_{which}")
-    shape, _ = COST_SHAPES[which]
-    args = kernel_args(which, mesh, tables)
-    raw = np.asarray(term.partials[slot](args), dtype=float)
-    target = _full_shape(shape, mesh) + (problem.slot_dim(slot),)
-    try:
-        return np.broadcast_to(raw, target)
-    except ValueError:
-        raise ShapeError(
-            f"cost {which} partial wrt {slot}: shape {raw.shape} does not "
-            f"broadcast to {target}"
-        ) from None
+    return _transposed(mesh, kid, lam, F, "")
 
 
 def check_finite(name: str, arr: np.ndarray) -> None:
@@ -578,14 +481,13 @@ class PartialsReport:
         return max((err for (_, _, err, _) in self.entries), default=0.0)
 
 
-def _point_args(rng, shape: KernelShape, families, problem: Problem, box):
+def _point_args(rng, shape: KernelShape, problem: Problem, box):
     """Random single-point KernelArgs for derivative probing."""
     t_hi, (x_lo, x_hi) = box
-    full = _full_letters(shape)
-    rank = len(full) + 1
+    rank = len(shape.full) + 1
     ones = (1,) * rank
     values: dict = {}
-    for c in full:
+    for c in shape.full:
         if c in "ik":
             value = rng.uniform(0.0, t_hi)
         elif c in "jl":
@@ -593,7 +495,7 @@ def _point_args(rng, shape: KernelShape, families, problem: Problem, box):
         else:
             value = rng.choice([x_lo, x_hi])
         values[_COORDS[c][0]] = np.full(ones, value)
-    for fam in families:
+    for fam in shape.families:
         for slot in SLOT_FAMILIES[fam]:
             d = problem.slot_dim(slot)
             values[slot] = rng.standard_normal((1,) * (rank - 1) + (d,))
@@ -647,41 +549,21 @@ def validate_partials(
     """Check every registered kernel and cost partial against central
     finite differences at random probe points.
 
-    The report lists the max relative error per (kernel, slot); it passes
+    The report lists the max relative error per (term, slot); it passes
     iff every entry is at or below tol.
     """
     if probes < 1:
         raise ConfigError("probes must be at least 1")
     rng = np.random.default_rng(seed)
     entries = []
-    for kid, kernel in problem.kernels.items():
-        shape = KERNEL_SHAPES[kid]
-        rank = len(_full_letters(shape)) + 1
-        val_shape = (1,) * (rank - 1) + (problem.n,)
-        for slot, pfn in kernel.partials.items():
-            worst = 0.0
-            for _ in range(probes):
-                args = _point_args(rng, shape, (shape.family,), problem, box)
-                worst = max(
-                    worst,
-                    _probe_one(
-                        kernel.fn, pfn, args, slot, problem.slot_dim(slot), val_shape
-                    ),
-                )
-            entries.append((kid, slot, worst, worst <= tol))
-    for name, term in problem.cost_terms():
-        shape, families = COST_SHAPES[name]
-        rank = len(_full_letters(shape)) + 1
-        val_shape = (1,) * (rank - 1)
+    for name, term in problem.terms.items():
+        shape = TERMS[name]
+        val_shape = (1,) * len(shape.full) + (problem.n,) * len(shape.values)
         for slot, pfn in term.partials.items():
+            d = problem.slot_dim(slot)
             worst = 0.0
             for _ in range(probes):
-                args = _point_args(rng, shape, families, problem, box)
-                worst = max(
-                    worst,
-                    _probe_one(
-                        term.fn, pfn, args, slot, problem.slot_dim(slot), val_shape
-                    ),
-                )
+                args = _point_args(rng, shape, problem, box)
+                worst = max(worst, _probe_one(term.fn, pfn, args, slot, d, val_shape))
             entries.append((name, slot, worst, worst <= tol))
     return PartialsReport(tol=tol, entries=entries)

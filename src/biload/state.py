@@ -57,7 +57,7 @@ class Layout:
 
     def nodes(self, mesh) -> tuple:
         """Shape of the node axes on this mesh."""
-        return _node_shape(self.letters, mesh.Nt, mesh.Nx)
+        return node_shape(self.letters, mesh.Nt, mesh.Nx)
 
     def control_dim(self, m_u: int, m_w: int) -> int:
         """Components of this layout's control: u-controls on x nodes,
@@ -91,8 +91,9 @@ def axis_sizes(Nt: int, Nx: int) -> dict:
 
 
 @functools.lru_cache(maxsize=256)
-def _node_shape(letters: str, Nt: int, Nx: int) -> tuple:
-    # cached: every sweep builds and checks the block shapes
+def node_shape(letters: str, Nt: int, Nx: int) -> tuple:
+    """Sizes of the axes named by letters."""
+    # cached: every sweep builds and checks block and kernel-grid shapes
     sizes = axis_sizes(Nt, Nx)
     return tuple(sizes[c] for c in letters)
 
@@ -101,7 +102,7 @@ def _node_shape(letters: str, Nt: int, Nx: int) -> tuple:
 def block_shapes(Nt: int, Nx: int, dims: tuple) -> tuple:
     """Shapes of the six blocks in table order, dims[k] components on
     layout k."""
-    return tuple(_node_shape(L.letters, Nt, Nx) + (m,) for L, m in zip(LAYOUTS, dims))
+    return tuple(node_shape(L.letters, Nt, Nx) + (m,) for L, m in zip(LAYOUTS, dims))
 
 
 #: One column per node set: the grid, the wall strip, the initial and final
@@ -231,7 +232,7 @@ class DerivedSlots:
     q_dot: np.ndarray
     phi_bd_dot: np.ndarray
     p_bd: np.ndarray
-    p_dot_bd: np.ndarray
+    p_bd_dot: np.ndarray
     p0: np.ndarray
     q0: np.ndarray
     pT: np.ndarray
@@ -261,7 +262,7 @@ def derive_slots(mesh: Mesh, state: StateBundle) -> DerivedSlots:
     q_dot = np.tensordot(mesh.d1_t, q, axes=(1, 0))
     phi_bd_dot = np.tensordot(mesh.d1_t, state.phi_bd, axes=(1, 0))
     p_bd = _edge_gradient(mesh, state.phi, state.phi_bd)
-    p_dot_bd = np.tensordot(mesh.d1_t, p_bd, axes=(1, 0))
+    p_bd_dot = np.tensordot(mesh.d1_t, p_bd, axes=(1, 0))
     return DerivedSlots(
         p=p,
         q=q,
@@ -270,7 +271,7 @@ def derive_slots(mesh: Mesh, state: StateBundle) -> DerivedSlots:
         q_dot=q_dot,
         phi_bd_dot=phi_bd_dot,
         p_bd=p_bd,
-        p_dot_bd=p_dot_bd,
+        p_bd_dot=p_bd_dot,
         p0=np.tensordot(mesh.d1_x, state.phi0, axes=(1, 0)),
         q0=np.tensordot(mesh.d2_x, state.phi0, axes=(1, 0)),
         pT=np.tensordot(mesh.d1_x, state.phiT, axes=(1, 0)),

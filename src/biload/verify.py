@@ -30,17 +30,7 @@ from .adjoint import (
 )
 from .errors import ConfigError, DivergenceError, SingularSystemError
 from .forward import SolverConfig, assemble_sweep, eval_cost, solve_forward
-from .kernels import (
-    COST_SHAPES,
-    KERNEL_SHAPES,
-    Problem,
-    SlotTables,
-    forward_contract,
-    slot_tables,
-    _arrange,
-    _full_letters,
-    _slot_letters,
-)
+from .kernels import TERMS, Problem, forward_contract, slot_tables
 from .mesh import CurveMesh, Mesh, StencilKind, apply_stencil, curve_diff
 from .state import (
     CONTROL_BLOCKS,
@@ -72,12 +62,19 @@ def _perturbed(controls: ControlBundle, block: str, direction, scale: float):
     return new
 
 
-def _solve_and_cost(problem, mesh, controls, cfg) -> float:
+def _solved_state(problem, mesh, controls, cfg, context: str = "") -> StateBundle:
+    """Forward solve that raises unless it converges."""
     state, report = solve_forward(problem, mesh, controls, cfg)
     if not report.converged:
         raise DivergenceError(
-            f"forward solve did not converge (residual {report.final_residual:g})"
+            f"forward solve did not converge{context} "
+            f"(residual {report.final_residual:g})"
         )
+    return state
+
+
+def _solve_and_cost(problem, mesh, controls, cfg) -> float:
+    state = _solved_state(problem, mesh, controls, cfg)
     slots = derive_slots(mesh, state)
     return eval_cost(problem, mesh, state, slots, controls)
 
@@ -112,16 +109,14 @@ def fd_directional(
 # ---------------------------------------------------------------------------
 
 
-def _linearized_terms(problem, mesh, cache, dtables: SlotTables):
+def _linearized_terms(problem, mesh, cache, dtables):
     """Differential of the right-hand-side accumulation: kernel partials
     at the base state contracted with perturbed slot fields."""
     for kid, kernel in problem.kernels.items():
-        shape = KERNEL_SHAPES[kid]
-        full = _full_letters(shape)
-        letters = _slot_letters(shape)
+        shape = TERMS[kid]
         dF = None
         for slot in kernel.partials:
-            darr = _arrange(dtables.family(shape.family)[slot], letters, full)
+            darr = shape.arrange(slot, dtables)
             term = np.einsum("...nd,...d->...n", cache[(kid, slot)], darr)
             dF = term if dF is None else dF + term
         if dF is not None:
@@ -135,15 +130,13 @@ def _linearized_sweep(problem, mesh, cache, dstate, dcontrols):
     return assemble_sweep(mesh, problem.n, terms), dtables
 
 
-def _linearized_cost(problem, mesh, cache, dtables: SlotTables) -> float:
+def _linearized_cost(problem, mesh, cache, dtables) -> float:
     dJ = 0.0
     for name, term in problem.cost_terms():
-        shape, families = COST_SHAPES[name]
+        shape = TERMS[name]
         for slot in term.partials:
-            CF = cache[("cost", name, slot)]
-            fam = next(f for f in families if slot in dtables.family(f))
-            darr = dtables.family(fam)[slot]
-            dJ += LAYOUT[shape.eq].quad(mesh, CF, darr, comp="d")
+            darr = shape.arrange(slot, dtables)
+            dJ += LAYOUT[shape.eq].quad(mesh, cache[(name, slot)], darr, comp="d")
     return dJ
 
 
@@ -174,10 +167,7 @@ def dto_solve(
         raise ConfigError(
             f"dense oracle limited to {size_cap} unknowns, grid has {idx.total}"
         )
-    cfg = cfg or _TIGHT
-    state, report = solve_forward(problem, mesh, controls, cfg)
-    if not report.converged:
-        raise DivergenceError("forward solve did not converge for the dense oracle")
+    state = _solved_state(problem, mesh, controls, cfg or _TIGHT, " for the dense oracle")
     slots = derive_slots(mesh, state)
     tables = slot_tables(state, slots, controls)
     cache = partial_cache(problem, mesh, tables)
@@ -417,18 +407,18 @@ def gradient_check(
         raise ConfigError("n_dirs must be at least 1")
     cfg = cfg or _TIGHT
     costate_cfg = costate_cfg or cfg
-    idx = flat_index(mesh, problem.n)
     if use_dto is None:
-        use_dto = idx.total <= 1500
-    state, rep = solve_forward(problem, mesh, controls, cfg)
-    if not rep.converged:
-        raise DivergenceError("forward solve did not converge for gradient check")
+        use_dto = flat_index(mesh, problem.n).total <= 1500
+    dto = dto_solve(problem, mesh, controls, cfg) if use_dto else None
+    if dto is not None:
+        state = dto.state
+    else:
+        state = _solved_state(problem, mesh, controls, cfg, " for gradient check")
     slots = derive_slots(mesh, state)
     costate, crep = solve_costate(problem, mesh, state, slots, controls, costate_cfg)
     if not crep.converged:
         raise DivergenceError("costate solve did not converge for gradient check")
     grad = control_gradient(problem, mesh, state, slots, controls, costate)
-    dto = dto_solve(problem, mesh, controls, cfg).grad if use_dto else None
 
     if blocks is None:
         blocks = [b for b in CONTROL_BLOCKS if problem.slot_dim(b) > 0]
@@ -451,7 +441,7 @@ def gradient_check(
             dto_val = None
             err_dto = None
             if dto is not None:
-                dto_val = float(np.sum(dto.block(block) * direction))
+                dto_val = float(np.sum(dto.grad.block(block) * direction))
                 err_dto = _rel_gap(dto_val, fd)
             report.entries.append(
                 GradCheckEntry(
@@ -504,9 +494,7 @@ def _refined(mesh: Mesh, factor: int) -> Mesh:
 def forward_sup_error(problem, mesh, controls, reference, cfg) -> float:
     """Sup-norm trajectory error against an analytic reference, measured
     on interior columns (wall columns belong to the trace unknown)."""
-    state, rep = solve_forward(problem, mesh, controls, cfg)
-    if not rep.converged:
-        raise DivergenceError("forward solve did not converge in refinement study")
+    state = _solved_state(problem, mesh, controls, cfg, " in refinement study")
     ref = np.asarray(reference(mesh.t, mesh.x), dtype=float)
     if ref.ndim == 2:
         ref = ref[:, :, None]
@@ -519,21 +507,11 @@ def gradient_gap(
 ) -> float:
     """Relative gap between the costate-gradient pairing and the central
     difference, for one seeded smooth direction."""
-    cfg = cfg or _TIGHT
-    costate_cfg = costate_cfg or cfg
-    state, rep = solve_forward(problem, mesh, controls, cfg)
-    if not rep.converged:
-        raise DivergenceError("forward solve did not converge in gradient gap")
-    slots = derive_slots(mesh, state)
-    costate, crep = solve_costate(problem, mesh, state, slots, controls, costate_cfg)
-    if not crep.converged:
-        raise DivergenceError("costate solve did not converge in gradient gap")
-    grad = control_gradient(problem, mesh, state, slots, controls, costate)
-    rng = np.random.default_rng(seed)
-    direction = smooth_direction(mesh, block, problem.slot_dim(block), rng)
-    fd = fd_directional(problem, mesh, controls, block, direction, fd_eps, cfg)
-    adj = block_pairing(mesh, block, grad.block(block), direction)
-    return _rel_gap(adj, fd)
+    report = gradient_check(
+        problem, mesh, controls, n_dirs=1, seed=seed, cfg=cfg,
+        costate_cfg=costate_cfg, fd_eps=fd_eps, use_dto=False, blocks=[block],
+    )
+    return report.entries[0].err_adjoint
 
 
 def _ibp_test_fields(mesh: Mesh):

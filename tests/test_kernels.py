@@ -16,6 +16,7 @@ from biload.kernels import (
     CostTerm,
     Kernel,
     Problem,
+    costate_value_contract,
     eval_kernel,
     forward_contract,
     slot_tables,
@@ -116,7 +117,7 @@ PROBLEM = Problem(n=N_DIM, m_u=M_U, m_w=M_W, kernels=KERNELS)
 
 
 def _slot_value(fam, slot, tk, sp):
-    arr = TABLES.family(fam)[slot]
+    arr = TABLES[fam][slot]
     if fam in ("S", "S_bd"):
         return arr[tk, sp]
     return arr[sp]
@@ -268,12 +269,13 @@ def _producer_nodes(fam):
     return [(e,) for e in range(2)]
 
 
-def brute_transpose(kid, slot):
+def brute_transpose(kid, slot=None):
     """Costate-weighted accumulation onto producer nodes, by definition:
     for running kernels the free consumer time carries the transposed
     running weight wt[i] V[i,k] / wt[k]; a free interior consumer
     coordinate carries the space quadrature; a free side carries the
-    counting measure; pinned coordinates carry no weight."""
+    counting measure; pinned coordinates carry no weight.  With slot None
+    the costate pairs with the kernel value instead of its partial."""
     shape = KERNEL_SHAPES[kid]
     fam = shape.family
     lam = LAMBDAS[shape.eq]
@@ -281,7 +283,7 @@ def brute_transpose(kid, slot):
     V = MESH.volterra_lower
     out = {}
     for pnode in _producer_nodes(fam):
-        acc = np.zeros(_slot_dim(slot))
+        acc = 0.0 if slot is None else np.zeros(_slot_dim(slot))
         for cnode in _consumers(shape.eq):
             coords = _consumer_coords(shape.eq, cnode)
             # producer must be reachable from this consumer
@@ -311,7 +313,10 @@ def brute_transpose(kid, slot):
             else:
                 weight *= MESH.wx[cons_space] if _cons_space_is_interior(shape.eq) else 1.0
                 coords["eta"] = MESH.bd_x[sp]
-            P = _formula_partial(kid, slot, coords)
+            if slot is None:
+                P = _formula(kid, coords, tk, sp)
+            else:
+                P = _formula_partial(kid, slot, coords)
             acc += weight * (lam[cnode] @ P)
         out[pnode] = acc
     return out
@@ -340,6 +345,15 @@ def test_transpose_contraction_matches_bruteforce(kid, slot):
         np.testing.assert_allclose(engine[node], expected, atol=1e-12, rtol=1e-9)
 
 
+@pytest.mark.parametrize("kid", KERNEL_IDS)
+def test_costate_value_contraction_matches_bruteforce(kid):
+    F = eval_kernel(PROBLEM, kid, MESH, TABLES)
+    engine = costate_value_contract(MESH, kid, LAMBDAS[KERNEL_SHAPES[kid].eq], F)
+    reference = brute_transpose(kid)
+    for node, expected in reference.items():
+        np.testing.assert_allclose(engine[node], expected, atol=1e-12, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Problem surface
 # ---------------------------------------------------------------------------
@@ -350,16 +364,18 @@ def test_unknown_kernel_id_rejected():
         Problem(n=1, m_u=1, m_w=0, kernels={"f9": Kernel(fn=lambda a: a.phi)})
 
 
-def test_partial_slot_must_belong_to_family():
-    with pytest.raises(ConfigError):
-        Problem(
-            n=1,
-            m_u=1,
-            m_w=0,
-            kernels={
-                "f0": Kernel(fn=lambda a: a.phi, partials={"w": lambda a: 1.0})
-            },
-        )
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"kernels": {"f0": Kernel(fn=lambda a: a.phi, partials={"w": lambda a: 1.0})}},
+        {"kernels": {}, "cost_F1": CostTerm(fn=lambda a: 0.0, partials={"w": lambda a: 1.0})},
+        {"kernels": {}, "cost_F0": CostTerm(fn=lambda a: 0.0, partials={"phi": lambda a: 1.0})},
+    ],
+    ids=["f0-w", "F1-w", "F0-phi"],
+)
+def test_partial_slot_must_belong_to_family(kwargs):
+    with pytest.raises(ConfigError, match="is not in it"):
+        Problem(n=1, m_u=1, m_w=0, **kwargs)
 
 
 def test_absent_kernel_equals_zero_kernel():

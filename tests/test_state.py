@@ -90,7 +90,7 @@ def test_derive_slots_is_linear():
     d1 = derive_slots(MESH, s1)
     d2 = derive_slots(MESH, s2)
     dc = derive_slots(MESH, combo)
-    for name in ("p", "q", "p_dot", "q_dot", "p_bd", "p_dot_bd", "p0", "qT", "pT_bd"):
+    for name in ("p", "q", "p_dot", "q_dot", "p_bd", "p_bd_dot", "p0", "qT", "pT_bd"):
         lhs = getattr(dc, name)
         rhs = a * getattr(d1, name) + b * getattr(d2, name)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
