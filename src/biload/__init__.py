@@ -9,8 +9,6 @@ finite-difference and dense discrete-oracle verification.
 
 from .adjoint import (
     ControlGradient,
-    HPartials,
-    ThetaKind,
     apply_theta,
     assemble_h_partials,
     block_pairing,
@@ -81,7 +79,6 @@ from .state import (
 from .verify import (
     GradCheckReport,
     RefinementTable,
-    dto_gradient,
     dto_solve,
     fd_directional,
     gradient_check,

@@ -8,19 +8,20 @@ point, plus the direct cost-integrand gradient.  `assemble_h_partials`
 performs that accumulation uniformly for all slots, including the control
 slots, whose partial fields ARE the functional control gradient.
 
-The six costate equations apply signed difference-operator combinations to
-the slot-partial fields:
+The six costate equations apply one pattern to the slot partials on each
+x node set and the wall pair at the same times (the grid and the wall
+strip, each slice and its wall pair).  Per slot role phi, p, q the
+bracket is B = A + Dt* A' with A' the partial of the role's time
+derivative, and B = A on the slices, which have no time axis; then
 
-    trajectory:      id, -Dt, -Dx, +Dtx, +Dxx, -Dtxx on the
-                     (phi, phi', p, p', q, q') partials
-    boundary trace:  the (phi_bd, phi_bd') pair, the normal-weighted
-                     (p_bd, p_bd') pair, and the normal-weighted trace of
-                     the interior momentum flux  A_p - Dt A_p' - Dx A_q
-                     + Dtx A_q'  (in one space dimension every tangential
-                     term vanishes identically; only the normal
-                     contractions with n = -1, +1 survive)
-    slices:          the same combinations with all time-derivative terms
-                     absent.
+    x nodes:  B_phi - Dx B_p + Dxx B_q
+    walls:    B_phi_bd + n B_p_bd + n trace(B_p - Dx B_q)
+
+Dt*, the quadrature-weighted transpose of the forward time stencil, stands
+for the -Dt of the variation identities: interior rows agree to second
+order, and the first and last rows absorb the endpoint terms of the
+summation by parts.  In one space dimension every tangential term
+vanishes; only the normal contractions with n = -1, +1 survive.
 
 Because the slot partials contain the costates inside running integrals,
 the system is solved as a global fixed point with the same relaxed Picard
@@ -30,7 +31,6 @@ realize the endpoint limits).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,38 +50,18 @@ from .kernels import (
     term_label,
     transpose_contract,
 )
-from .mesh import Mesh, StencilKind, apply_stencil
+from .mesh import Mesh, apply_axis
 from .state import (
     CONTROL_BLOCKS,
     LAYOUT,
     LAYOUTS,
+    WALL_PAIRS,
     ControlBundle,
     CoStateBundle,
     DerivedSlots,
     StateBundle,
     zero_costate,
 )
-
-
-class ThetaKind(enum.Enum):
-    Theta = "Theta"
-    Theta0 = "Theta0"
-    ThetaT = "ThetaT"
-    G = "G"
-    G0 = "G0"
-    GT = "GT"
-
-
-@dataclass
-class HPartials:
-    """Per-node partials of the costate-weighted functional with respect
-    to every slot.  Each field has the natural layout of its slot with the
-    slot's own component dimension last."""
-
-    fields: dict
-
-    def __getitem__(self, slot: str) -> np.ndarray:
-        return self.fields[slot]
 
 
 @dataclass
@@ -128,8 +108,11 @@ def assemble_h_partials(
     controls: ControlBundle,
     costate: CoStateBundle,
     cache: dict = None,
-) -> HPartials:
-    """Accumulate every slot partial at every node.
+) -> dict:
+    """Accumulate every slot partial at every node, keyed by slot.
+
+    Each array has the natural layout of its slot with the slot's own
+    component dimension last.
 
     A kernel partial is paired with its equation's costate and carried to
     the producer nodes; a cost partial already lives there.  With a zero
@@ -146,126 +129,54 @@ def assemble_h_partials(
             P = transpose_contract(mesh, name, lam, P)
             check_finite(f"partial of {name} wrt {slot}", P)
         out[slot] += P
-    return HPartials(fields=out)
-
-
-def _dt_bd(mesh: Mesh, field: np.ndarray) -> np.ndarray:
-    """Time derivative along the first axis of a boundary-shaped field."""
-    return np.tensordot(mesh.d1_t, field, axes=(1, 0))
+    return out
 
 
 def _dt_star(mesh: Mesh, field: np.ndarray) -> np.ndarray:
     """Adjoint of the forward time stencil under the time quadrature:
-    (1/wt) Dt^T (wt field) along the first axis.
-
-    Agrees with -Dt to second order at interior rows and concentrates the
-    endpoint terms of the time-direction summation by parts into the
-    first/last rows, mirroring what the exact discrete transpose does.
-    """
+    (1/wt) Dt^T (wt field) along the first axis."""
     w = mesh.wt.reshape((-1,) + (1,) * (field.ndim - 1))
     return np.tensordot(mesh.d1_t.T, w * field, axes=(1, 0)) / w
 
 
-def _dx_slice(mesh: Mesh, field: np.ndarray) -> np.ndarray:
-    return np.tensordot(mesh.d1_x, field, axes=(1, 0))
+def apply_theta(mesh: Mesh, partials: dict) -> CoStateBundle:
+    """Apply the six costate operators to assembled slot partials.
 
+    One pass per x node set and its wall pair (`WALL_PAIRS`) computes the
+    brackets B = A + Dt* A' once (B = A on the slices) and from them
 
-def _dxx_slice(mesh: Mesh, field: np.ndarray) -> np.ndarray:
-    return np.tensordot(mesh.d2_x, field, axes=(1, 0))
+        Theta = B_phi - Dx B_p + Dxx B_q                   on the x nodes,
+        G     = B_phi_bd + n B_p_bd + n trace(B_p - Dx B_q)  at the walls.
 
-
-def _wall_trace(field: np.ndarray) -> np.ndarray:
-    """Trace of an interior (t, x, d) field at the two wall columns."""
-    return np.stack([field[:, 0, :], field[:, -1, :]], axis=1)
-
-
-def apply_theta(
-    mesh: Mesh, kind: ThetaKind, partials: HPartials, time_adjoint: bool = False
-) -> np.ndarray:
-    """Apply one costate operator to assembled slot partials.
-
-    Returns a field shaped like the corresponding costate block.  The
-    trajectory operator combines the slot partials with signed stencils,
-
-        id on phi,  -Dt on phi',  -Dx on p,  +Dtx on p',
-        +Dxx on q,  -Dtxx on q',
-
-    grouped as momentum brackets B_p = A_p - Dt A_p' and
-    B_q = A_q - Dt A_q'.  The boundary operator pairs the trace-slot
-    brackets with the normal and adds the normal-weighted wall trace of
-    the interior momentum flux B_p - Dx B_q; in one space dimension every
-    tangential term vanishes identically and only the normal contractions
-    with n = -1, +1 survive.  Slice operators drop all time-derivative
-    terms.
-
-    With time_adjoint=True every time derivative of a partial field is
-    replaced by the negated quadrature-weighted transpose of the forward
-    stencil (-Dt -> +Dt*).  Interior rows agree to second order; the
-    first and last rows absorb the endpoint-concentrated terms of the
-    variation identities, realizing the endpoint conditions inside the
-    same fixed-point equation.  The costate solver uses this variant.
+    Dt* replaces -Dt: interior rows agree with -Dt to second order, and
+    the first and last rows absorb the endpoint terms of the summation by
+    parts, realizing the endpoint conditions inside the same fixed-point
+    equation.
     """
-    H = partials.fields
     nrm = mesh.normals[:, None]
 
-    def dt_field(F):
-        if time_adjoint:
-            return -_dt_star(mesh, F)
-        return apply_stencil(mesh, StencilKind.Dt, F)
+    def bracket(L, role):
+        A = partials[L.slot(role)]
+        if L.time is None:
+            return A
+        return A + _dt_star(mesh, partials[L.slot(role, dot=True)])
 
-    def dt_bd(F):
-        if time_adjoint:
-            return -_dt_star(mesh, F)
-        return _dt_bd(mesh, F)
-
-    if kind in (ThetaKind.Theta, ThetaKind.G):
-        B_p = H["p"] - dt_field(H["p_dot"])
-        B_q = H["q"] - dt_field(H["q_dot"])
-        if kind == ThetaKind.Theta:
-            return (
-                H["phi"]
-                - dt_field(H["phi_dot"])
-                - apply_stencil(mesh, StencilKind.Dx, B_p)
-                + apply_stencil(mesh, StencilKind.Dxx, B_q)
-            )
-        flux = B_p - apply_stencil(mesh, StencilKind.Dx, B_q)
-        return (
-            H["phi_bd"]
-            - dt_bd(H["phi_bd_dot"])
-            + nrm * (H["p_bd"] - dt_bd(H["p_bd_dot"]))
-            + nrm * _wall_trace(flux)
+    out = {}
+    for L, W in WALL_PAIRS:
+        x = L.letters.index("j")
+        B_p, B_q = bracket(L, "p"), bracket(L, "q")
+        out[L.costate] = (
+            bracket(L, "phi")
+            - apply_axis(mesh.d1_x, B_p, x)
+            + apply_axis(mesh.d2_x, B_q, x)
         )
-    if kind == ThetaKind.Theta0:
-        return H["phi0"] - _dx_slice(mesh, H["p0"]) + _dxx_slice(mesh, H["q0"])
-    if kind == ThetaKind.ThetaT:
-        return H["phiT"] - _dx_slice(mesh, H["pT"]) + _dxx_slice(mesh, H["qT"])
-    if kind == ThetaKind.G0:
-        flux = H["p0"] - _dx_slice(mesh, H["q0"])
-        return (
-            H["phi0_bd"]
-            + nrm * H["p0_bd"]
-            + nrm * np.stack([flux[0], flux[-1]], axis=0)
+        flux = B_p - apply_axis(mesh.d1_x, B_q, x)
+        out[W.costate] = (
+            bracket(W, "phi")
+            + nrm * bracket(W, "p")
+            + nrm * np.take(flux, [0, -1], axis=x)
         )
-    if kind == ThetaKind.GT:
-        flux = H["pT"] - _dx_slice(mesh, H["qT"])
-        return (
-            H["phiT_bd"]
-            + nrm * H["pT_bd"]
-            + nrm * np.stack([flux[0], flux[-1]], axis=0)
-        )
-    raise ConfigError(f"unknown operator kind {kind!r}")
-
-
-def _costate_sweep(problem, mesh, state, slots, controls, costate, cache):
-    AH = assemble_h_partials(problem, mesh, state, slots, controls, costate, cache)
-    return CoStateBundle(
-        psi=apply_theta(mesh, ThetaKind.Theta, AH, time_adjoint=True),
-        omega=apply_theta(mesh, ThetaKind.G, AH, time_adjoint=True),
-        psi0=apply_theta(mesh, ThetaKind.Theta0, AH, time_adjoint=True),
-        psiT=apply_theta(mesh, ThetaKind.ThetaT, AH, time_adjoint=True),
-        omega0=apply_theta(mesh, ThetaKind.G0, AH, time_adjoint=True),
-        omegaT=apply_theta(mesh, ThetaKind.GT, AH, time_adjoint=True),
-    )
+    return CoStateBundle(**out)
 
 
 def solve_costate(
@@ -281,7 +192,9 @@ def solve_costate(
     tables = slot_tables(state, slots, controls)
     cache = partial_cache(problem, mesh, tables)
     return fixed_point(
-        lambda co: _costate_sweep(problem, mesh, state, slots, controls, co, cache),
+        lambda co: apply_theta(
+            mesh, assemble_h_partials(problem, mesh, state, slots, controls, co, cache)
+        ),
         zero_costate(mesh, problem.n),
         cfg or SolverConfig(),
         label="costate ",

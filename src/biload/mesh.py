@@ -8,9 +8,8 @@ the two endpoint values (counting measure).
 
 Stencils are second order everywhere: centered three-point formulas at
 interior nodes and one-sided three/four-point formulas at the four grid
-edges.  The mixed stencils Dtx and Dtxx are defined as exact compositions,
-Dt applied after Dx (resp. Dxx), so composed and direct application agree
-bitwise.
+edges.  The mixed stencil Dtx is defined as an exact composition, Dt
+applied after Dx, so composed and direct application agree bitwise.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class StencilKind(enum.Enum):
     Dx = "Dx"
     Dxx = "Dxx"
     Dtx = "Dtx"
-    Dtxx = "Dtxx"
 
 
 def _diff1_matrix(m: int, h: float) -> np.ndarray:
@@ -176,7 +174,7 @@ def build_mesh(T_final: float, Nt: int, x_a: float, x_b: float, Nx: int) -> Mesh
     )
 
 
-def _apply_axis(matrix: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
+def apply_axis(matrix: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
     """Apply a dense 1-D operator matrix along one axis of field."""
     moved = np.moveaxis(field, axis, 0)
     out = np.tensordot(matrix, moved, axes=(1, 0))
@@ -186,8 +184,8 @@ def _apply_axis(matrix: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
 def apply_stencil(mesh: Mesh, kind: StencilKind, field: np.ndarray) -> np.ndarray:
     """Apply one of the difference operators to a (t, x, ...) node field.
 
-    Dtx and Dtxx are computed by composition, Dt pass after the Dx/Dxx
-    pass, so they agree bitwise with the explicit two-step application.
+    Dtx is computed by composition, Dt pass after the Dx pass, so it
+    agrees bitwise with the explicit two-step application.
     """
     field = np.asarray(field, dtype=float)
     if field.ndim < 2 or field.shape[0] != mesh.Nt + 1 or field.shape[1] != mesh.Nx + 1:
@@ -196,15 +194,13 @@ def apply_stencil(mesh: Mesh, kind: StencilKind, field: np.ndarray) -> np.ndarra
             f"({mesh.Nt + 1}, {mesh.Nx + 1}, ...)"
         )
     if kind == StencilKind.Dt:
-        return _apply_axis(mesh.d1_t, field, 0)
+        return apply_axis(mesh.d1_t, field, 0)
     if kind == StencilKind.Dx:
-        return _apply_axis(mesh.d1_x, field, 1)
+        return apply_axis(mesh.d1_x, field, 1)
     if kind == StencilKind.Dxx:
-        return _apply_axis(mesh.d2_x, field, 1)
+        return apply_axis(mesh.d2_x, field, 1)
     if kind == StencilKind.Dtx:
-        return _apply_axis(mesh.d1_t, _apply_axis(mesh.d1_x, field, 1), 0)
-    if kind == StencilKind.Dtxx:
-        return _apply_axis(mesh.d1_t, _apply_axis(mesh.d2_x, field, 1), 0)
+        return apply_axis(mesh.d1_t, apply_axis(mesh.d1_x, field, 1), 0)
     raise ConfigError(f"unknown stencil kind {kind!r}")
 
 

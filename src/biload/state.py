@@ -12,10 +12,10 @@ Each block lives on one of six node sets, and the control, the costate,
 the equation family that contracts onto it and the slot family read there
 live on the same set.  `LAYOUTS` states this once: per node set, its axis
 letters (hence its block shape for a given component count, see
-`block_shapes`), its quadrature measure (`Layout.quad`), and the names of
-the blocks and families on it.  The
+`block_shapes`), its quadrature measure (`Layout.quad`), the names of the
+blocks and families on it, and its slots by role (`Layout.slot`).  The
 bundles, zero constructors, shape checks, flat packing, pairings and CSV
-writers all read it.
+writers all read it; `WALL_PAIRS` pairs each x node set with its walls.
 
 derive_slots produces every derived field the kernels may read: spatial
 derivatives p = Dx phi and q = Dxx phi, time derivatives of phi/p/q, the
@@ -58,6 +58,11 @@ class Layout:
     def nodes(self, mesh) -> tuple:
         """Shape of the node axes on this mesh."""
         return node_shape(self.letters, mesh.Nt, mesh.Nx)
+
+    def slot(self, role: str, dot: bool = False) -> str:
+        """Slot read on these nodes for role phi, p or q, e.g. "p0_bd";
+        dot names its time derivative, e.g. "p_bd_dot"."""
+        return self.state.replace("phi", role) + ("_dot" if dot else "")
 
     def control_dim(self, m_u: int, m_w: int) -> int:
         """Components of this layout's control: u-controls on x nodes,
@@ -127,6 +132,9 @@ LAYOUT = {
     for name in (L.state, L.costate, L.control, L.eq, L.family)
 }
 CONTROL_BLOCKS = _TABLE["control"]
+#: Each x node set with the wall pair at the same times: the grid with the
+#: wall strip, and each slice with its wall pair.
+WALL_PAIRS = tuple((L, LAYOUT[L.state + "_bd"]) for L in LAYOUTS if L.space == "j")
 
 
 class _Bundle:

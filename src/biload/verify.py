@@ -48,6 +48,8 @@ from .state import (
 )
 
 _TIGHT = SolverConfig(tol=1e-12, max_iter=2000)
+#: Unknowns above which the dense oracle refuses to assemble its Jacobian.
+DTO_SIZE_CAP = 1500
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,7 @@ def dto_solve(
     mesh: Mesh,
     controls: ControlBundle,
     cfg: SolverConfig = None,
-    size_cap: int = 1500,
+    size_cap: int = DTO_SIZE_CAP,
 ) -> DtoResult:
     """Exact gradient of the discrete reduced cost via dense linearization.
 
@@ -211,16 +213,6 @@ def dto_solve(
         multipliers=CoStateBundle(*unpack(idx, lam).blocks()),
         state=state,
     )
-
-
-def dto_gradient(
-    problem: Problem,
-    mesh: Mesh,
-    controls: ControlBundle,
-    cfg: SolverConfig = None,
-    size_cap: int = 1500,
-) -> ControlGradient:
-    return dto_solve(problem, mesh, controls, cfg, size_cap).grad
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +357,16 @@ class GradCheckReport:
     costate: CoStateBundle = None  # the solved costate the adjoint column used
     grad: ControlGradient = None  # and its control gradient
 
+    def _fails(self, e: GradCheckEntry) -> bool:
+        dto_bad = e.err_dto is not None and e.err_dto > self.tol_dto
+        return dto_bad or e.err_adjoint > self.tol_adjoint
+
     @property
     def passed(self) -> bool:
-        for e in self.entries:
-            if e.err_dto is not None and e.err_dto > self.tol_dto:
-                return False
-            if e.err_adjoint > self.tol_adjoint:
-                return False
-        return True
+        return not any(map(self._fails, self.entries))
 
     def failing_blocks(self) -> list:
-        bad = []
-        for e in self.entries:
-            dto_bad = e.err_dto is not None and e.err_dto > self.tol_dto
-            if (dto_bad or e.err_adjoint > self.tol_adjoint) and e.block not in bad:
-                bad.append(e.block)
-        return bad
+        return list(dict.fromkeys(e.block for e in self.entries if self._fails(e)))
 
 
 def gradient_check(
@@ -408,7 +394,7 @@ def gradient_check(
     cfg = cfg or _TIGHT
     costate_cfg = costate_cfg or cfg
     if use_dto is None:
-        use_dto = flat_index(mesh, problem.n).total <= 1500
+        use_dto = flat_index(mesh, problem.n).total <= DTO_SIZE_CAP
     dto = dto_solve(problem, mesh, controls, cfg) if use_dto else None
     if dto is not None:
         state = dto.state

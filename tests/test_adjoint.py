@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from biload.adjoint import (
-    HPartials,
-    ThetaKind,
     apply_theta,
     assemble_h_partials,
     block_pairing,
@@ -15,7 +13,13 @@ from biload.forward import SolverConfig, solve_forward
 from biload.kernels import CostTerm, Kernel, Problem, kernel_args, slot_tables
 from biload.mesh import build_mesh
 from biload.models import make_model, make_params
-from biload.state import derive_slots, zero_controls, zero_costate, zero_state
+from biload.state import (
+    WALL_PAIRS,
+    derive_slots,
+    zero_controls,
+    zero_costate,
+    zero_state,
+)
 from biload.verify import dto_solve, smooth_direction
 
 MESH = build_mesh(1.0, 8, 0.0, 1.0, 8)
@@ -100,19 +104,19 @@ def _partials_with(mesh, n=1, **fields):
     out = _zero_partials(prob, mesh)
     for name, value in fields.items():
         out[name][:] = value
-    return HPartials(fields=out)
+    return out
 
 
 def test_apply_theta_identity_term():
     rng = np.random.default_rng(1)
     field = rng.standard_normal((MESH.Nt + 1, MESH.Nx + 1, 1))
     AH = _partials_with(MESH, phi=field)
-    np.testing.assert_allclose(apply_theta(MESH, ThetaKind.Theta, AH), field)
+    np.testing.assert_allclose(apply_theta(MESH, AH).psi, field)
 
 
 def test_apply_theta_gradient_term_exact_on_linear():
     AH = _partials_with(MESH, p=MESH.x[None, :, None] * np.ones((MESH.Nt + 1, 1, 1)))
-    out = apply_theta(MESH, ThetaKind.Theta, AH)
+    out = apply_theta(MESH, AH).psi
     np.testing.assert_allclose(out, -1.0, atol=1e-12)
 
 
@@ -120,31 +124,34 @@ def test_apply_theta_mixed_term_exact_on_bilinear():
     AH = _partials_with(
         MESH, q_dot=(MESH.t[:, None] * MESH.x[None, :] ** 2)[:, :, None]
     )
-    out = apply_theta(MESH, ThetaKind.Theta, AH)
-    np.testing.assert_allclose(out, -2.0, atol=1e-11)
+    out = apply_theta(MESH, AH).psi
+    # Dt* is exact on linears away from the final end; its last rows hold
+    # the endpoint terms of the summation by parts
+    np.testing.assert_allclose(out[:-3], -2.0, atol=1e-11)
 
 
 def test_apply_theta_slice_operators():
     AH = _partials_with(MESH, p0=(MESH.x**2)[:, None], qT=(MESH.x**2)[:, None])
-    out0 = apply_theta(MESH, ThetaKind.Theta0, AH)
-    np.testing.assert_allclose(out0[:, 0], -2.0 * MESH.x, atol=1e-11)
-    outT = apply_theta(MESH, ThetaKind.ThetaT, AH)
-    np.testing.assert_allclose(outT, 2.0, atol=1e-11)
+    out = apply_theta(MESH, AH)
+    np.testing.assert_allclose(out.psi0[:, 0], -2.0 * MESH.x, atol=1e-11)
+    np.testing.assert_allclose(out.psiT, 2.0, atol=1e-11)
 
 
-def test_apply_theta_boundary_normal_contractions():
-    AH = _partials_with(MESH, p_bd=np.ones((MESH.Nt + 1, 2, 1)))
-    out = apply_theta(MESH, ThetaKind.G, AH)
-    np.testing.assert_allclose(out[:, 0, 0], -1.0)
-    np.testing.assert_allclose(out[:, 1, 0], 1.0)
+@pytest.mark.parametrize("x_nodes, walls", WALL_PAIRS, ids=[W.costate for _, W in WALL_PAIRS])
+def test_apply_theta_boundary_normal_contractions(x_nodes, walls):
+    AH = _partials_with(MESH, **{walls.slot("p"): 1.0})
+    out = getattr(apply_theta(MESH, AH), walls.costate)
+    np.testing.assert_allclose(out[..., 0, 0], -1.0)
+    np.testing.assert_allclose(out[..., 1, 0], 1.0)
 
 
-def test_apply_theta_boundary_flux_trace():
-    # interior q-partial x^2: flux carries -Dx(q-partial) = -2x to the walls
-    AH = _partials_with(MESH, q=(MESH.x[None, :] ** 2 * np.ones((MESH.Nt + 1, 1)))[:, :, None])
-    out = apply_theta(MESH, ThetaKind.G, AH)
-    np.testing.assert_allclose(out[:, 0, 0], -1.0 * (-(2.0 * MESH.x[0])), atol=1e-11)
-    np.testing.assert_allclose(out[:, 1, 0], 1.0 * (-(2.0 * MESH.x[-1])), atol=1e-11)
+@pytest.mark.parametrize("x_nodes, walls", WALL_PAIRS, ids=[W.costate for _, W in WALL_PAIRS])
+def test_apply_theta_boundary_flux_trace(x_nodes, walls):
+    # x-node q-partial x^2: the flux carries -Dx(q-partial) = -2x to the walls
+    AH = _partials_with(MESH, **{x_nodes.slot("q"): (MESH.x**2)[:, None]})
+    out = getattr(apply_theta(MESH, AH), walls.costate)
+    np.testing.assert_allclose(out[..., 0, 0], -1.0 * (-(2.0 * MESH.x[0])), atol=1e-11)
+    np.testing.assert_allclose(out[..., 1, 0], 1.0 * (-(2.0 * MESH.x[-1])), atol=1e-11)
 
 
 def test_running_model_phi_partial_structure():

@@ -111,7 +111,9 @@ def test_stencils_exact_on_polynomials():
     )
     f_tx2 = _grid_field(mesh, lambda t, x: t * x**2)
     np.testing.assert_allclose(
-        apply_stencil(mesh, StencilKind.Dtxx, f_tx2), 2.0 * np.ones_like(f_tx2), atol=1e-12
+        apply_stencil(mesh, StencilKind.Dt, apply_stencil(mesh, StencilKind.Dxx, f_tx2)),
+        2.0 * np.ones_like(f_tx2),
+        atol=1e-12,
     )
 
 
@@ -130,9 +132,6 @@ def test_mixed_stencils_are_exact_compositions():
     dtx = apply_stencil(mesh, StencilKind.Dtx, f)
     two_pass = apply_stencil(mesh, StencilKind.Dt, apply_stencil(mesh, StencilKind.Dx, f))
     assert np.array_equal(dtx, two_pass)
-    dtxx = apply_stencil(mesh, StencilKind.Dtxx, f)
-    two_pass = apply_stencil(mesh, StencilKind.Dt, apply_stencil(mesh, StencilKind.Dxx, f))
-    assert np.array_equal(dtxx, two_pass)
 
 
 def test_apply_stencil_shape_error():

@@ -3,8 +3,10 @@ import pytest
 
 from biload.errors import ShapeError
 from biload.mesh import build_mesh
+from biload.kernels import SLOT_FAMILIES
 from biload.state import (
     LAYOUTS,
+    WALL_PAIRS,
     CoStateBundle,
     FlatIndex,
     StateBundle,
@@ -170,3 +172,16 @@ def test_sup_distance_homogeneous_and_metric():
     scaled_b = StateBundle(*(2.5 * blk for blk in b.blocks()))
     assert abs(sup_distance(scaled_a, scaled_b) - 2.5 * dab) <= 1e-15 * max(1.0, dab)
     assert sup_distance(a, c) <= sup_distance(a, b) + sup_distance(b, c) + 1e-15
+
+
+def test_wall_pairs_name_every_state_slot():
+    # the costate operators read the phi, p, q roles on the x nodes and the
+    # phi, p roles at the walls, plus time derivatives where time runs
+    pairs = [(L.costate, W.costate) for L, W in WALL_PAIRS]
+    assert pairs == [("psi", "omega"), ("psi0", "omega0"), ("psiT", "omegaT")]
+    for L, W in WALL_PAIRS:
+        for layout, roles in ((L, ("phi", "p", "q")), (W, ("phi", "p"))):
+            names = {layout.slot(role) for role in roles}
+            if layout.time:
+                names |= {layout.slot(role, dot=True) for role in roles}
+            assert names == set(SLOT_FAMILIES[layout.family]) - {layout.control}

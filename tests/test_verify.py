@@ -8,7 +8,7 @@ from biload.mesh import build_curve_mesh, build_mesh
 from biload.models import make_model, make_params, model_reference, picard_relax_hint
 from biload.state import derive_slots, pack, zero_controls
 from biload.verify import (
-    dto_gradient,
+    dto_solve,
     fd_directional,
     gradient_check,
     ibp_residual,
@@ -67,7 +67,7 @@ def test_dto_gradient_decoupled_control_energy():
     prob = _control_cost_problem()
     ctrl = zero_controls(MESH, 1, 0)
     ctrl.u[:] = 0.9
-    grad = dto_gradient(prob, MESH, ctrl)
+    grad = dto_solve(prob, MESH, ctrl).grad
     expected = 2.0 * ctrl.u * MESH.wt[:, None, None] * MESH.wx[None, :, None]
     np.testing.assert_allclose(grad.g_u, expected, atol=1e-10)
 
@@ -78,7 +78,7 @@ def test_dto_matches_fd(name):
     ctrl = zero_controls(MESH, prob.m_u, prob.m_w)
     if name == "volterra_exp":
         ctrl.u[:] = 0.3  # make the decoupled gradient nonzero
-    grad = dto_gradient(prob, MESH, ctrl)
+    grad = dto_solve(prob, MESH, ctrl).grad
     rng = np.random.default_rng(1)
     for block in ("u", "w"):
         dim = prob.m_u if block == "u" else prob.m_w
@@ -95,7 +95,7 @@ def test_dto_size_cap():
     prob = make_model(make_params("lq_volterra"))
     mesh = build_mesh(1.0, 40, 0.0, 1.0, 40)
     with pytest.raises(ConfigError):
-        dto_gradient(prob, mesh, zero_controls(mesh, 1, 0), size_cap=100)
+        dto_solve(prob, mesh, zero_controls(mesh, 1, 0), size_cap=100)
 
 
 def test_linearized_sweep_matches_fd_of_sweep_map():

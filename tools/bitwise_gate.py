@@ -1,0 +1,77 @@
+"""Check that this checkout keeps the solver and CLI results of a git
+revision bit for bit.
+
+Usage: python tools/bitwise_gate.py REV
+
+Extracts REV with ``git archive REV | tar -x`` into a temporary directory
+(the repository's ``.git`` is only read), then runs ``solver_digest.py`` and
+``cli_artifacts.py`` in that tree and in this checkout's working tree and
+compares their outputs: the digest lines, and every file the CLI wrote,
+exit codes included.  Prints each differing line or file and exits 1 on
+any difference, 0 when both agree.
+"""
+
+from __future__ import annotations
+
+import difflib
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _extract(rev: str, dest: Path) -> None:
+    dest.mkdir()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _outputs(tree: Path, out: Path) -> dict:
+    """Relative path -> bytes of everything the two tools write for tree."""
+    digest = subprocess.run(
+        [sys.executable, str(tree / "tools" / "solver_digest.py")],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    subprocess.run(
+        [sys.executable, str(tree / "tools" / "cli_artifacts.py"), str(out)],
+        check=True, capture_output=True,
+    )
+    files = {"solver_digest.txt": digest.encode()}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            files[str(path.relative_to(out))] = path.read_bytes()
+    return files
+
+
+def main(rev: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _extract(rev, base)
+        old = _outputs(base, Path(tmp) / "base_out")
+        new = _outputs(ROOT, Path(tmp) / "new_out")
+    differing = 0
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            continue
+        differing += 1
+        if a is None or b is None:
+            print(f"only at {rev if b is None else 'this checkout'}: {name}")
+            continue
+        sys.stdout.writelines(difflib.unified_diff(
+            a.decode(errors="replace").splitlines(True),
+            b.decode(errors="replace").splitlines(True),
+            f"{rev}/{name}", f"checkout/{name}", n=0,
+        ))
+    print(f"{differing} of {len(old.keys() | new.keys())} outputs differ from {rev}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
