@@ -41,6 +41,7 @@ axis of the dimension d of the slot being differentiated (append
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -108,6 +109,10 @@ class KernelShape:
     coords: tuple = field(init=False, repr=False, compare=False)
     #: family -> (axis permutation, source axis of each full letter or None)
     layouts: Mapping = field(init=False, repr=False, compare=False)
+    #: full axis of the consumer time for a term with a running time integral
+    #: and a producer-space integral, else None: when the evaluated array
+    #: has stride 0 there, the contractions read its distinct values
+    stationary_axis: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         node = LAYOUT[self.eq]
@@ -131,6 +136,7 @@ class KernelShape:
             (*_COORDS[c], tuple(-1 if d == c else 1 for d in full) + (1,))
             for c in full
         )
+        stationary = self.time_rel == "volterra" and self.space_rel != "same"
         for name, value in (
             ("families", families),
             ("consumer", node.letters),
@@ -138,6 +144,7 @@ class KernelShape:
             ("slot_letters", letters),
             ("coords", coords),
             ("layouts", layouts),
+            ("stationary_axis", full.index(node.time) if stationary else None),
         ):
             object.__setattr__(self, name, value)
 
@@ -404,21 +411,87 @@ def _weight_ops(shape: KernelShape, mesh: Mesh, transpose: bool):
     return ops, subs
 
 
+def _stationary(shape: KernelShape, arr: np.ndarray) -> bool:
+    """True when arr is the broadcast of a raw array that does not depend
+    on the consumer time of a running, space-integrated term."""
+    axis = shape.stationary_axis
+    return axis is not None and arr.strides[axis] == 0
+
+
+@functools.lru_cache(maxsize=256)
+def _einsum_path(spec: str, shapes: tuple) -> tuple:
+    """Pairwise contraction order for spec at these operand shapes."""
+    dummies = [np.broadcast_to(0.0, s) for s in shapes]
+    return tuple(np.einsum_path(spec, *dummies, optimize="optimal")[0][1:])
+
+
+def _raw_contract(subs: list, ops: list, arr: np.ndarray, letters: str, out: str):
+    """einsum of ops (subscripts subs) and arr (axes letters) onto out,
+    reading only the distinct values of the broadcast view arr.
+
+    Every stride-0 axis of arr whose letter another operand carries is
+    indexed at 0; the operands are then contracted pair by pair along a
+    path found once per subscripts and shapes.  Each pair is a plain
+    einsum, not BLAS, so the bits do not depend on the BLAS build or its
+    thread count.
+    """
+    carried = set("".join(subs))
+    drop = [step == 0 and c in carried for c, step in zip(letters, arr.strides)]
+    subs = subs + ["".join(c for c, gone in zip(letters, drop) if not gone)]
+    ops = ops + [arr[tuple(0 if gone else slice(None) for gone in drop)]]
+    path = _einsum_path(",".join(subs) + "->" + out, tuple(op.shape for op in ops))
+    for pair in path:
+        picked = [(subs.pop(a), ops.pop(a)) for a in sorted(pair, reverse=True)]
+        rest = "".join(subs)
+        keep = out if not subs else "".join(
+            dict.fromkeys(c for sub, _ in picked for c in sub if c in rest + out)
+        )
+        subs.append(keep)
+        ops.append(
+            np.einsum(",".join(sub for sub, _ in picked) + "->" + keep,
+                      *(op for _, op in picked))
+        )
+    return ops[0]
+
+
 def forward_contract(mesh: Mesh, kid: str, F: np.ndarray) -> np.ndarray:
-    """Quadrature-contract a kernel value array onto its consumer nodes."""
+    """Quadrature-contract a kernel value array onto its consumer nodes.
+
+    A term with a running time integral and a producer-space integral
+    whose value does not depend on the consumer time (stride 0 there; the
+    radiation exchange f3 of forest_fire_minimal) is contracted from its
+    raw array, an (Nt+1)-fold saving.  Every other term keeps the one
+    einsum over the broadcast, and with it its floating-point bits.  The
+    rule is that narrow on purpose: how many line searches and grad-check
+    entries fail follows the bits, so moving them where nothing is gained
+    can raise a failure count with no fault in the code.
+    """
     shape = TERMS[kid]
     ops, subs = _weight_ops(shape, mesh, transpose=False)
-    return np.einsum(
-        ",".join(subs + [shape.full + "n"]) + "->" + shape.consumer + "n", *ops, F
-    )
+    out = shape.consumer + "n"
+    if _stationary(shape, F):
+        return _raw_contract(subs, ops, F, shape.full + "n", out)
+    return np.einsum(",".join(subs + [shape.full + "n"]) + "->" + out, *ops, F)
 
 
 def _transposed(mesh: Mesh, kid: str, lam: np.ndarray, arr: np.ndarray, trail: str):
     """Pair lam with arr (axes full + "n" + trail) and accumulate onto the
-    producer slot nodes of the kernel's own family."""
+    producer slot nodes of the kernel's own family.
+
+    The rule of forward_contract applies, and for the same reason: only a
+    term with a running time integral and a producer-space integral whose
+    array has stride 0 along the consumer time takes the raw path, where
+    the costate is contracted with the running and free-space weights
+    first and that small array with the raw array.  Every other term keeps
+    its einsum and its bits.
+    """
     shape = TERMS[kid]
     out = "".join(shape.slot_letters[shape.family]) + trail
     ops, subs = _weight_ops(shape, mesh, transpose=True)
+    if _stationary(shape, arr):
+        return _raw_contract(
+            [shape.consumer + "n", *subs], [lam, *ops], arr, shape.full + "n" + trail, out
+        )
     return np.einsum(
         ",".join([shape.consumer + "n", shape.full + "n" + trail] + subs)
         + "->"
@@ -455,7 +528,13 @@ def costate_value_contract(
 
 
 def check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    """Raise KernelEvalError at the first non-finite entry of arr in C order.
+
+    A broadcast view is scanned at index 0 of each stride-0 axis only:
+    its values repeat along those axes, so the first bad index is the same.
+    """
+    arr = arr[tuple(slice(0, 1) if step == 0 else slice(None) for step in arr.strides)]
+    if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))
         raise KernelEvalError(
             f"{name} produced a non-finite value at grid index "

@@ -22,7 +22,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _extract(rev: str, dest: Path) -> None:
+def extract(rev: str, dest: Path) -> None:
+    """Write the files of git revision rev into the new directory dest."""
     dest.mkdir()
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
@@ -50,7 +51,7 @@ def _outputs(tree: Path, out: Path) -> dict:
 def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
-        _extract(rev, base)
+        extract(rev, base)
         old = _outputs(base, Path(tmp) / "base_out")
         new = _outputs(ROOT, Path(tmp) / "new_out")
     differing = 0
