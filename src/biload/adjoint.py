@@ -139,7 +139,7 @@ def _dt_star(mesh: Mesh, field: np.ndarray) -> np.ndarray:
     return np.tensordot(mesh.d1_t.T, w * field, axes=(1, 0)) / w
 
 
-def apply_theta(mesh: Mesh, partials: dict) -> CoStateBundle:
+def apply_theta(mesh: Mesh, partials: dict, produced=None) -> CoStateBundle:
     """Apply the six costate operators to assembled slot partials.
 
     One pass per x node set and its wall pair (`WALL_PAIRS`) computes the
@@ -152,30 +152,39 @@ def apply_theta(mesh: Mesh, partials: dict) -> CoStateBundle:
     the first and last rows absorb the endpoint terms of the summation by
     parts, realizing the endpoint conditions inside the same fixed-point
     equation.
+
+    The partial of a slot not in produced (default: every slot) is a
+    structural zero, and every addend built from such zeros is skipped.
+    First operands stay: assembled partials never hold -0.0, so adding an
+    exact zero to them changes no bit.
     """
     nrm = mesh.normals[:, None]
+    live = set(partials if produced is None else produced)
 
     def bracket(L, role):
-        A = partials[L.slot(role)]
-        if L.time is None:
-            return A
-        return A + _dt_star(mesh, partials[L.slot(role, dot=True)])
+        """(B, whether a term produces it); B is the zero partial if not."""
+        A, dot = L.slot(role), L.slot(role, dot=True)
+        if L.time is not None and dot in live:
+            return partials[A] + _dt_star(mesh, partials[dot]), True
+        return partials[A], A in live
 
     out = {}
     for L, W in WALL_PAIRS:
         x = L.letters.index("j")
-        B_p, B_q = bracket(L, "p"), bracket(L, "q")
-        out[L.costate] = (
-            bracket(L, "phi")
-            - apply_axis(mesh.d1_x, B_p, x)
-            + apply_axis(mesh.d2_x, B_q, x)
-        )
-        flux = B_p - apply_axis(mesh.d1_x, B_q, x)
-        out[W.costate] = (
-            bracket(W, "phi")
-            + nrm * bracket(W, "p")
-            + nrm * np.take(flux, [0, -1], axis=x)
-        )
+        theta, _ = bracket(L, "phi")
+        (B_p, has_p), (B_q, has_q) = bracket(L, "p"), bracket(L, "q")
+        if has_p:
+            theta = theta - apply_axis(mesh.d1_x, B_p, x)
+        flux = B_p
+        if has_q:
+            theta = theta + apply_axis(mesh.d2_x, B_q, x)
+            flux = B_p - apply_axis(mesh.d1_x, B_q, x)
+        (wall, _), (B_p_bd, has_p_bd) = bracket(W, "phi"), bracket(W, "p")
+        if has_p_bd:
+            wall = wall + nrm * B_p_bd
+        if has_p or has_q:
+            wall = wall + nrm * np.take(flux, [0, -1], axis=x)
+        out[L.costate], out[W.costate] = theta, wall
     return CoStateBundle(**out)
 
 
@@ -186,14 +195,19 @@ def solve_costate(
     slots: DerivedSlots,
     controls: ControlBundle,
     cfg: SolverConfig = None,
+    cache: dict = None,
 ):
     """Relaxed Picard solution of the coupled costate fixed point at a
-    (converged) state snapshot.  Starts from zero costates."""
-    tables = slot_tables(state, slots, controls)
-    cache = partial_cache(problem, mesh, tables)
+    (converged) state snapshot.  Starts from zero costates.  cache, when
+    given, is the partial_cache of this snapshot."""
+    if cache is None:
+        cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
+    produced = {slot for _, slot in cache}
     return fixed_point(
         lambda co: apply_theta(
-            mesh, assemble_h_partials(problem, mesh, state, slots, controls, co, cache)
+            mesh,
+            assemble_h_partials(problem, mesh, state, slots, controls, co, cache),
+            produced,
         ),
         zero_costate(mesh, problem.n),
         cfg or SolverConfig(),
@@ -208,14 +222,16 @@ def control_gradient(
     slots: DerivedSlots,
     controls: ControlBundle,
     costate: CoStateBundle,
+    cache: dict = None,
 ) -> ControlGradient:
     """Functional (density) gradient of the cost with respect to each
     control block: the control-slot partial fields at the solved costate.
+    cache, when given, is the partial_cache of this snapshot.
 
     The directional derivative along a perturbation is the quadrature
     pairing of these densities with the perturbation, blockwise.
     """
-    AH = assemble_h_partials(problem, mesh, state, slots, controls, costate)
+    AH = assemble_h_partials(problem, mesh, state, slots, controls, costate, cache)
     return ControlGradient(*(AH[block] for block in CONTROL_BLOCKS))
 
 

@@ -42,6 +42,7 @@ axis of the dimension d of the slot being differentiated (append
 from __future__ import annotations
 
 import functools
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -216,19 +217,23 @@ def term_label(name: str) -> str:
 
 
 class KernelArgs:
-    """Coordinate and slot arrays pre-shaped for broadcasting."""
+    """Coordinate and slot arrays pre-shaped for broadcasting: values, plus
+    each slot of shape's families arranged from tables on first access."""
 
-    def __init__(self, values: dict):
-        self._values = values
+    def __init__(self, values: dict, shape: "KernelShape" = None, tables: Mapping = None):
+        self._values, self._shape, self._tables = values, shape, tables
 
     def __getattr__(self, name):
-        try:
-            return self._values[name]
-        except KeyError:
-            raise AttributeError(
-                f"kernel argument {name!r} not available here; "
-                f"have {sorted(self._values)}"
-            ) from None
+        values, shape = self._values, self._shape
+        if name not in values and shape and SLOT_FAMILY_OF.get(name) in shape.families:
+            values[name] = shape.arrange(name, self._tables)
+        if name in values:
+            return values[name]
+        slots = [s for fam in shape.families for s in self._tables[fam]] if shape else []
+        raise AttributeError(
+            f"kernel argument {name!r} not available here; "
+            f"have {sorted({*values, *slots})}"
+        )
 
 
 #: Which of (state, slots, controls) holds each slot array.
@@ -238,29 +243,45 @@ _SLOT_SOURCE = {
 }
 
 
+class _FamilyTable(abc.Mapping):
+    """One slot family's arrays by name, fetched from their bundle when read."""
+
+    def __init__(self, names: tuple, sources: tuple):
+        self._names, self._sources = names, sources
+
+    def __getitem__(self, slot):
+        if slot not in self._names:
+            raise KeyError(slot)
+        return getattr(self._sources[_SLOT_SOURCE[slot]], slot)
+
+    def __contains__(self, slot):
+        return slot in self._names
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self):
+        return len(self._names)
+
+
 def slot_tables(
     state: StateBundle, slots: DerivedSlots, controls: ControlBundle
 ) -> dict:
-    """Natural-layout slot arrays: family -> slot name -> array."""
+    """Natural-layout slot arrays: family -> slot name -> array, each
+    fetched (and derived) only when read."""
     sources = (state, slots, controls)
-    return {
-        fam: {slot: getattr(sources[_SLOT_SOURCE[slot]], slot) for slot in names}
-        for fam, names in SLOT_FAMILIES.items()
-    }
+    return {fam: _FamilyTable(names, sources) for fam, names in SLOT_FAMILIES.items()}
 
 
 def kernel_args(name: str, mesh: Mesh, tables: Mapping) -> KernelArgs:
     """Build the argument namespace of one kernel or cost integrand on
-    this mesh."""
+    this mesh; its slots are arranged when the term reads them."""
     shape = TERMS[name]
     values = {
         arg: getattr(mesh, coord).reshape(target)
         for arg, coord, target in shape.coords
     }
-    for fam in shape.families:
-        for slot in tables[fam]:
-            values[slot] = shape.arrange(slot, tables)
-    return KernelArgs(values)
+    return KernelArgs(values, shape, tables)
 
 
 # ---------------------------------------------------------------------------

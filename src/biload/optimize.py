@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import control_gradient, gradient_norm2, solve_costate
+from .adjoint import control_gradient, gradient_norm2, partial_cache, solve_costate
 from .errors import ConfigError, DivergenceError
 from .forward import SolverConfig, eval_cost, solve_forward
-from .kernels import Problem
+from .kernels import Problem, slot_tables
 from .mesh import Mesh
 from .state import CONTROL_BLOCKS, ControlBundle, derive_slots
 
@@ -106,10 +106,13 @@ def run_gd(
     best_controls, best_J = controls.copy(), J
 
     def fresh_gradient():
-        costate, crep = solve_costate(problem, mesh, state, slots, controls, costate_cfg)
+        cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
+        costate, crep = solve_costate(
+            problem, mesh, state, slots, controls, costate_cfg, cache
+        )
         if not crep.converged:
             raise DivergenceError("costate solve did not converge")
-        return control_gradient(problem, mesh, state, slots, controls, costate)
+        return control_gradient(problem, mesh, state, slots, controls, costate, cache)
 
     grad = fresh_gradient()
     gnorm2 = gradient_norm2(mesh, grad)

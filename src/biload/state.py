@@ -17,10 +17,12 @@ blocks and families on it, and its slots by role (`Layout.slot`).  The
 bundles, zero constructors, shape checks, flat packing, pairings and CSV
 writers all read it; `WALL_PAIRS` pairs each x node set with its walls.
 
-derive_slots produces every derived field the kernels may read: spatial
+derive_slots gives every derived field the kernels may read: spatial
 derivatives p = Dx phi and q = Dxx phi, time derivatives of phi/p/q, the
 boundary traces of p (one-sided stencils reading interior values plus the
-governing boundary unknown at the wall), and the slice derivatives.
+governing boundary unknown at the wall), and the slice derivatives.  Each
+is derived on first access and then kept, so a sweep derives only what its
+terms read.
 """
 
 from __future__ import annotations
@@ -225,30 +227,6 @@ def check_state_shapes(mesh: Mesh, state: StateBundle) -> int:
     return n
 
 
-@dataclass
-class DerivedSlots:
-    """All derived fields the kernels and cost integrands may read.
-
-    phi_bd_dot is the time derivative of the governed boundary unknown
-    phi_bd, not of the trace of phi.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    phi_dot: np.ndarray
-    p_dot: np.ndarray
-    q_dot: np.ndarray
-    phi_bd_dot: np.ndarray
-    p_bd: np.ndarray
-    p_bd_dot: np.ndarray
-    p0: np.ndarray
-    q0: np.ndarray
-    pT: np.ndarray
-    qT: np.ndarray
-    p0_bd: np.ndarray
-    pT_bd: np.ndarray
-
-
 def _edge_gradient(mesh: Mesh, interior: np.ndarray, wall: np.ndarray) -> np.ndarray:
     """One-sided d/dx at the two walls, reading the wall unknown plus the
     two nearest interior columns.
@@ -261,32 +239,49 @@ def _edge_gradient(mesh: Mesh, interior: np.ndarray, wall: np.ndarray) -> np.nda
     return np.stack([left, right], axis=-2)
 
 
+#: Each derived slot from the mesh m, the state s and the kept slots d.
+_DERIVED = {
+    "p": lambda m, s, d: apply_stencil(m, StencilKind.Dx, s.phi),
+    "q": lambda m, s, d: apply_stencil(m, StencilKind.Dxx, s.phi),
+    "phi_dot": lambda m, s, d: apply_stencil(m, StencilKind.Dt, s.phi),
+    "p_dot": lambda m, s, d: np.tensordot(m.d1_t, d.p, axes=(1, 0)),
+    "q_dot": lambda m, s, d: np.tensordot(m.d1_t, d.q, axes=(1, 0)),
+    "phi_bd_dot": lambda m, s, d: np.tensordot(m.d1_t, s.phi_bd, axes=(1, 0)),
+    "p_bd": lambda m, s, d: _edge_gradient(m, s.phi, s.phi_bd),
+    "p_bd_dot": lambda m, s, d: np.tensordot(m.d1_t, d.p_bd, axes=(1, 0)),
+    "p0": lambda m, s, d: np.tensordot(m.d1_x, s.phi0, axes=(1, 0)),
+    "q0": lambda m, s, d: np.tensordot(m.d2_x, s.phi0, axes=(1, 0)),
+    "pT": lambda m, s, d: np.tensordot(m.d1_x, s.phiT, axes=(1, 0)),
+    "qT": lambda m, s, d: np.tensordot(m.d2_x, s.phiT, axes=(1, 0)),
+    "p0_bd": lambda m, s, d: _edge_gradient(m, s.phi0, s.phi0_bd),
+    "pT_bd": lambda m, s, d: _edge_gradient(m, s.phiT, s.phiT_bd),
+}
+
+
+class DerivedSlots:
+    """The derived fields the kernels and cost integrands may read, one
+    attribute per name in `_DERIVED`, derived on first access and kept.
+
+    phi_bd_dot is the time derivative of the governed boundary unknown
+    phi_bd, not of the trace of phi.
+    """
+
+    def __init__(self, mesh: Mesh, state: StateBundle):
+        self._mesh, self._state = mesh, state
+
+    def __getattr__(self, name):
+        if name not in _DERIVED:
+            raise AttributeError(f"no derived slot {name!r}")
+        value = _DERIVED[name](self._mesh, self._state, self)
+        setattr(self, name, value)
+        return value
+
+
 def derive_slots(mesh: Mesh, state: StateBundle) -> DerivedSlots:
+    """The derived slots of state.  Its blocks are read on first access of
+    a slot, not here: do not write them while the result is still read."""
     check_state_shapes(mesh, state)
-    p = apply_stencil(mesh, StencilKind.Dx, state.phi)
-    q = apply_stencil(mesh, StencilKind.Dxx, state.phi)
-    phi_dot = apply_stencil(mesh, StencilKind.Dt, state.phi)
-    p_dot = np.tensordot(mesh.d1_t, p, axes=(1, 0))
-    q_dot = np.tensordot(mesh.d1_t, q, axes=(1, 0))
-    phi_bd_dot = np.tensordot(mesh.d1_t, state.phi_bd, axes=(1, 0))
-    p_bd = _edge_gradient(mesh, state.phi, state.phi_bd)
-    p_bd_dot = np.tensordot(mesh.d1_t, p_bd, axes=(1, 0))
-    return DerivedSlots(
-        p=p,
-        q=q,
-        phi_dot=phi_dot,
-        p_dot=p_dot,
-        q_dot=q_dot,
-        phi_bd_dot=phi_bd_dot,
-        p_bd=p_bd,
-        p_bd_dot=p_bd_dot,
-        p0=np.tensordot(mesh.d1_x, state.phi0, axes=(1, 0)),
-        q0=np.tensordot(mesh.d2_x, state.phi0, axes=(1, 0)),
-        pT=np.tensordot(mesh.d1_x, state.phiT, axes=(1, 0)),
-        qT=np.tensordot(mesh.d2_x, state.phiT, axes=(1, 0)),
-        p0_bd=_edge_gradient(mesh, state.phi0, state.phi0_bd),
-        pT_bd=_edge_gradient(mesh, state.phiT, state.phiT_bd),
-    )
+    return DerivedSlots(mesh, state)
 
 
 @dataclass(frozen=True)

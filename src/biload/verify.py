@@ -185,7 +185,7 @@ def dto_solve(
         dsw, dtables = _linearized_sweep(problem, mesh, cache, dstate, zctrl)
         A[:, col] = pack(dsw) - basis
         dJdPhi[col] = _linearized_cost(problem, mesh, cache, dtables)
-        basis[col] = 0.0
+        basis[col] = 0.0  # dstate's slots are derived on read: none after this
 
     cidx = control_index(mesh, problem.m_u, problem.m_w)
     M = cidx.total
@@ -401,10 +401,13 @@ def gradient_check(
     else:
         state = _solved_state(problem, mesh, controls, cfg, " for gradient check")
     slots = derive_slots(mesh, state)
-    costate, crep = solve_costate(problem, mesh, state, slots, controls, costate_cfg)
+    cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
+    costate, crep = solve_costate(
+        problem, mesh, state, slots, controls, costate_cfg, cache
+    )
     if not crep.converged:
         raise DivergenceError("costate solve did not converge for gradient check")
-    grad = control_gradient(problem, mesh, state, slots, controls, costate)
+    grad = control_gradient(problem, mesh, state, slots, controls, costate, cache)
 
     if blocks is None:
         blocks = [b for b in CONTROL_BLOCKS if problem.slot_dim(b) > 0]
