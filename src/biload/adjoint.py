@@ -60,6 +60,7 @@ from .state import (
     CoStateBundle,
     DerivedSlots,
     StateBundle,
+    flat_spans,
     zero_costate,
 )
 
@@ -78,12 +79,18 @@ class ControlGradient:
 
 
 def _zero_partials(problem: Problem, mesh: Mesh) -> dict:
-    out = {}
-    for L in LAYOUTS:
-        nodes = L.nodes(mesh)
-        for slot in SLOT_FAMILIES[L.family]:
-            out[slot] = np.zeros(nodes + (problem.slot_dim(slot),))
-    return out
+    """A fresh zero array per slot, each a view of one new buffer."""
+    key = ("partials", problem.n, problem.m_u, problem.m_w)
+    slots, spans = mesh.plan(key, _partial_spans, problem, mesh)
+    buf = np.zeros(spans[-1][1])
+    return {slot: buf[a:b].reshape(shape) for slot, (a, b, shape) in zip(slots, spans)}
+
+
+def _partial_spans(problem: Problem, mesh: Mesh) -> tuple:
+    """The slots in table order and their spans in _zero_partials' buffer."""
+    slots = [(L, slot) for L in LAYOUTS for slot in SLOT_FAMILIES[L.family]]
+    shapes = tuple(L.nodes(mesh) + (problem.slot_dim(slot),) for L, slot in slots)
+    return [slot for _, slot in slots], flat_spans(shapes)
 
 
 def partial_cache(problem: Problem, mesh: Mesh, tables) -> dict:

@@ -13,6 +13,13 @@ image measured before relaxation, and an iterate leaving the divergence
 guard raises with the offending block's name.  `solve_forward` drives it
 with `sweep_map`, `adjoint.solve_costate` with the costate sweep.
 
+The iterate and the sweep image are flat vectors (`state.pack` order):
+`assemble_sweep` fills its six blocks as views of the image's `flat`, and
+a costate image is packed once.  An iteration takes one residual, one
+relaxation and one guard test over the whole vector, elementwise and so
+with the bits of the blockwise loop; the blocks are walked only to name
+the one that left the guard.
+
 Starting from the zero bundle, the iteration is deterministic: identical
 inputs give bitwise-identical results.
 """
@@ -41,9 +48,9 @@ from .state import (
     DerivedSlots,
     StateBundle,
     block_shapes,
+    bundle_of,
     derive_slots,
     pack,
-    sup_distance,
     zero_state,
 )
 
@@ -80,15 +87,16 @@ class SolveReport:
 def assemble_sweep(mesh: Mesh, n: int, contributions) -> StateBundle:
     """Sum (equation family, consumer-node array) contributions into one
     block per family, overwrite the trajectory's wall columns with the
-    boundary-trace block, and bundle the result."""
+    boundary-trace block, and bundle the result.  The blocks are views of
+    the bundle's flat vector."""
     shapes = block_shapes(mesh.Nt, mesh.Nx, (n,) * len(LAYOUTS))
-    acc = {L.eq: np.zeros(shape) for L, shape in zip(LAYOUTS, shapes)}
+    image = bundle_of(StateBundle, np.zeros(sum(map(math.prod, shapes))), shapes)
+    acc = dict(zip((L.eq for L in LAYOUTS), image.blocks()))
     for eq, value in contributions:
         acc[eq] += value
-    phi, phi_bd = acc["interior"], acc["boundary"]
-    phi[:, 0, :] = phi_bd[:, LEFT, :]
-    phi[:, -1, :] = phi_bd[:, RIGHT, :]
-    return StateBundle(*acc.values())
+    image.phi[:, 0, :] = image.phi_bd[:, LEFT, :]
+    image.phi[:, -1, :] = image.phi_bd[:, RIGHT, :]
+    return image
 
 
 def _kernel_terms(problem: Problem, mesh: Mesh, tables):
@@ -123,30 +131,27 @@ def fixed_point(sweep, x0, cfg: SolverConfig, label: str = ""):
     leaving the divergence guard raises, naming the block (label prefixes
     the message).
     """
-    x = x0
+    x, xf = x0, pack(x0)
+    shapes = tuple(block.shape for block in x0.blocks())
     history = []
     converged = False
     residual = float("inf")
-    theta = cfg.relax
+    theta, guard = cfg.relax, cfg.divergence_guard
     for _ in range(cfg.max_iter):
         target = sweep(x)
-        residual = sup_distance(target, x)
+        tf = pack(target) if target.flat is None else target.flat
+        residual = float(np.max(np.abs(tf - xf)))
         if theta == 1.0:
-            x = target
+            x, xf = target, tf
         else:
-            x = type(x)(
-                *(
-                    (1.0 - theta) * old + theta * tgt
-                    for old, tgt in zip(x.blocks(), target.blocks())
-                )
-            )
+            xf = (1.0 - theta) * xf + theta * tf
+            x = bundle_of(type(x), xf, shapes)
         history.append(residual)
-        for name, block in zip(x.names, x.blocks()):
-            if block.size and not np.all(np.abs(block) <= cfg.divergence_guard):
-                raise DivergenceError(
-                    f"{label}iteration diverged: block {name} exceeded guard "
-                    f"{cfg.divergence_guard:g}"
-                )
+        if not np.all(np.abs(xf) <= guard):
+            name = next(n for n, _, b in x.named() if b.size and not np.all(np.abs(b) <= guard))
+            raise DivergenceError(
+                f"{label}iteration diverged: block {name} exceeded guard {guard:g}"
+            )
         if residual <= cfg.tol:
             converged = True
             break
@@ -198,5 +203,4 @@ def residual_flat(
 ) -> np.ndarray:
     """Flattened fixed-point defect: sweep image minus state.  Zero exactly
     at a solution of the discrete system."""
-    target = sweep_map(problem, mesh, state, controls)
-    return pack(target) - pack(state)
+    return sweep_map(problem, mesh, state, controls).flat - pack(state)

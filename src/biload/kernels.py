@@ -156,8 +156,13 @@ class KernelShape:
         fam = SLOT_FAMILY_OF[slot]
         perm, pattern = self.layouts[fam]
         arr = tables[fam][slot]
-        shape = tuple(1 if a is None else arr.shape[a] for a in pattern)
-        return np.transpose(arr, perm).reshape(shape + arr.shape[-1:])
+        return arr.transpose(perm).reshape(_arranged_shape(pattern, arr.shape))
+
+
+@functools.lru_cache(maxsize=1024)
+def _arranged_shape(pattern: tuple, shape: tuple) -> tuple:
+    """KernelShape.arrange's reshape target for a slot array of this shape."""
+    return tuple(1 if a is None else shape[a] for a in pattern) + shape[-1:]
 
 
 KERNEL_SHAPES: Mapping[str, KernelShape] = {
@@ -277,11 +282,10 @@ def kernel_args(name: str, mesh: Mesh, tables: Mapping) -> KernelArgs:
     """Build the argument namespace of one kernel or cost integrand on
     this mesh; its slots are arranged when the term reads them."""
     shape = TERMS[name]
-    values = {
-        arg: getattr(mesh, coord).reshape(target)
-        for arg, coord, target in shape.coords
-    }
-    return KernelArgs(values, shape, tables)
+    coords = mesh.plan(("coords", name), lambda: {
+        arg: getattr(mesh, coord).reshape(target) for arg, coord, target in shape.coords
+    })
+    return KernelArgs(dict(coords), shape, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +379,10 @@ def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args):
         dims += (problem.slot_dim(slot),)
     raw = np.asarray(raw, dtype=float)
     target = node_shape(shape.full, mesh.Nt, mesh.Nx) + dims
+    if raw.shape == target:
+        view = raw.view()
+        view.flags.writeable = False  # like broadcast_to's: a returned slot view stays unwritten
+        return view
     try:
         return np.broadcast_to(raw, target)
     except ValueError:
@@ -404,8 +412,9 @@ def eval_kernel_partial(
     return _evaluate(problem, kid, slot, mesh, tables, args)
 
 
-def _weight_ops(shape: KernelShape, mesh: Mesh, transpose: bool):
-    """Weight operands and einsum subscripts for the producer axes."""
+def _contraction(shape: KernelShape, mesh: Mesh, transpose: bool, trail: str = ""):
+    """Weight operands and their einsum subscripts for the producer axes,
+    the einsum of the contraction and its output letters."""
     c_time, c_space = LAYOUT[shape.eq].time, LAYOUT[shape.eq].space
     ops, subs = [], []
     if shape.time_rel == "volterra":
@@ -423,13 +432,17 @@ def _weight_ops(shape: KernelShape, mesh: Mesh, transpose: bool):
         if not transpose:
             ops.append(np.ones(2))
             subs.append("e")
-    if transpose:
-        # weight for each consumer axis left free by the producer point
-        if c_space == "j" and c_space not in shape.slot_letters[shape.family]:
-            ops.append(mesh.wx)
-            subs.append("j")
-        # a free boundary-side consumer carries counting weight one
-    return ops, subs
+    if not transpose:
+        out = shape.consumer + "n"
+        return ops, subs, ",".join(subs + [shape.full + "n"]) + "->" + out, out
+    # weight for each consumer axis left free by the producer point
+    if c_space == "j" and c_space not in shape.slot_letters[shape.family]:
+        ops.append(mesh.wx)
+        subs.append("j")
+    # a free boundary-side consumer carries counting weight one
+    out = "".join(shape.slot_letters[shape.family]) + trail
+    spec = ",".join([shape.consumer + "n", shape.full + "n" + trail] + subs) + "->" + out
+    return ops, subs, spec, out
 
 
 def _stationary(shape: KernelShape, arr: np.ndarray) -> bool:
@@ -488,11 +501,10 @@ def forward_contract(mesh: Mesh, kid: str, F: np.ndarray) -> np.ndarray:
     can raise a failure count with no fault in the code.
     """
     shape = TERMS[kid]
-    ops, subs = _weight_ops(shape, mesh, transpose=False)
-    out = shape.consumer + "n"
+    ops, subs, spec, out = mesh.plan(("forward", kid), _contraction, shape, mesh, False)
     if _stationary(shape, F):
         return _raw_contract(subs, ops, F, shape.full + "n", out)
-    return np.einsum(",".join(subs + [shape.full + "n"]) + "->" + out, *ops, F)
+    return np.einsum(spec, *ops, F)
 
 
 def _transposed(mesh: Mesh, kid: str, lam: np.ndarray, arr: np.ndarray, trail: str):
@@ -507,20 +519,13 @@ def _transposed(mesh: Mesh, kid: str, lam: np.ndarray, arr: np.ndarray, trail: s
     its einsum and its bits.
     """
     shape = TERMS[kid]
-    out = "".join(shape.slot_letters[shape.family]) + trail
-    ops, subs = _weight_ops(shape, mesh, transpose=True)
+    key = ("transposed", kid, trail)
+    ops, subs, spec, out = mesh.plan(key, _contraction, shape, mesh, True, trail)
     if _stationary(shape, arr):
         return _raw_contract(
             [shape.consumer + "n", *subs], [lam, *ops], arr, shape.full + "n" + trail, out
         )
-    return np.einsum(
-        ",".join([shape.consumer + "n", shape.full + "n" + trail] + subs)
-        + "->"
-        + out,
-        lam,
-        arr,
-        *ops,
-    )
+    return np.einsum(spec, lam, arr, *ops)
 
 
 def transpose_contract(
@@ -554,7 +559,8 @@ def check_finite(name: str, arr: np.ndarray) -> None:
     A broadcast view is scanned at index 0 of each stride-0 axis only:
     its values repeat along those axes, so the first bad index is the same.
     """
-    arr = arr[tuple(slice(0, 1) if step == 0 else slice(None) for step in arr.strides)]
+    if 0 in arr.strides:
+        arr = arr[tuple(slice(0, 1) if step == 0 else slice(None) for step in arr.strides)]
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))
         raise KernelEvalError(

@@ -148,6 +148,18 @@ class Mesh:
     def d2_x(self) -> np.ndarray:
         return _diff2_matrix(self.Nx + 1, self.dx)
 
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def plan(self, key, build, *args):
+        """build(*args), built on the first call with key and kept on this
+        instance: keying on an equal mesh would hash its fields each call."""
+        plans = self._plans
+        if key not in plans:
+            plans[key] = build(*args)
+        return plans[key]
+
 
 def build_mesh(T_final: float, Nt: int, x_a: float, x_b: float, Nx: int) -> Mesh:
     """Construct a mesh, rejecting out-of-range or non-finite parameters."""

@@ -28,6 +28,7 @@ terms read.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -139,10 +140,13 @@ CONTROL_BLOCKS = _TABLE["control"]
 WALL_PAIRS = tuple((L, LAYOUT[L.state + "_bd"]) for L in LAYOUTS if L.space == "j")
 
 
+@dataclass
 class _Bundle:
-    """Six blocks named by one column of the layout table."""
+    """Six blocks named by one column of the layout table; flat, when set,
+    is the vector in `pack` order whose views the blocks are."""
 
     names: ClassVar[tuple]
+    flat: Optional[np.ndarray] = field(default=None, repr=False, compare=False, kw_only=True)
 
     def blocks(self) -> tuple:
         return tuple(getattr(self, name) for name in self.names)
@@ -304,20 +308,24 @@ class FlatIndex:
         return block_shapes(self.Nt, self.Nx, self.dims)
 
     @property
-    def sizes(self):
-        return tuple(int(np.prod(s)) for s in self.shapes)
-
-    @property
-    def offsets(self):
-        out, acc = [], 0
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
-
-    @property
     def total(self) -> int:
-        return sum(self.sizes)
+        return flat_spans(self.shapes)[-1][1]
+
+
+@functools.lru_cache(maxsize=256)
+def flat_spans(shapes: tuple) -> tuple:
+    """(start, stop, shape) of each block of these shapes in one flat vector."""
+    spans, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        spans.append((start, stop, shape))
+        start = stop
+    return tuple(spans)
+
+
+def bundle_of(cls: type, flat: np.ndarray, shapes: tuple) -> _Bundle:
+    """A bundle of class cls whose blocks are views of flat."""
+    return cls(*(flat[a:b].reshape(s) for a, b, s in flat_spans(shapes)), flat=flat)
 
 
 def flat_index(mesh: Mesh, n: int) -> FlatIndex:
@@ -337,18 +345,16 @@ def unpack(idx: FlatIndex, flat: np.ndarray):
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (idx.total,):
         raise ShapeError(f"expected flat length {idx.total}, got {flat.shape}")
-    parts = []
-    for off, size, shape in zip(idx.offsets, idx.sizes, idx.shapes):
-        parts.append(flat[off : off + size].reshape(shape))
-    return idx.bundle(*parts)
+    return bundle_of(idx.bundle, flat, idx.shapes)
 
 
 def sup_distance(a: _Bundle, b: _Bundle) -> float:
-    """Maximum absolute componentwise difference over all six blocks."""
-    worst = 0.0
+    """Maximum absolute componentwise difference over all six blocks; NaN
+    when any difference is NaN."""
+    worst = [0.0]
     for ba, bb in zip(a.blocks(), b.blocks()):
         if ba.shape != bb.shape:
             raise ShapeError(f"mismatched block shapes {ba.shape} vs {bb.shape}")
         if ba.size:
-            worst = max(worst, float(np.max(np.abs(ba - bb))))
-    return worst
+            worst.append(np.max(np.abs(ba - bb)))
+    return float(np.max(worst))

@@ -41,7 +41,6 @@ from .state import (
     control_index,
     derive_slots,
     flat_index,
-    pack,
     unpack,
     zero_controls,
     zero_state,
@@ -147,6 +146,7 @@ class DtoResult:
     grad: ControlGradient
     multipliers: CoStateBundle
     state: StateBundle
+    cache: dict = field(repr=False)  # partial_cache at state
 
 
 def dto_solve(
@@ -183,7 +183,7 @@ def dto_solve(
         basis[col] = 1.0
         dstate = unpack(idx, basis)
         dsw, dtables = _linearized_sweep(problem, mesh, cache, dstate, zctrl)
-        A[:, col] = pack(dsw) - basis
+        A[:, col] = dsw.flat - basis
         dJdPhi[col] = _linearized_cost(problem, mesh, cache, dtables)
         basis[col] = 0.0  # dstate's slots are derived on read: none after this
 
@@ -197,7 +197,7 @@ def dto_solve(
         cbasis[col] = 1.0
         dctrl = unpack(cidx, cbasis)
         dsw, dtables = _linearized_sweep(problem, mesh, cache, zst, dctrl)
-        B[:, col] = pack(dsw)
+        B[:, col] = dsw.flat
         dJdU[col] = _linearized_cost(problem, mesh, cache, dtables)
         cbasis[col] = 0.0
 
@@ -212,6 +212,7 @@ def dto_solve(
         grad=ControlGradient(*unpack(cidx, grad_flat).blocks()),
         multipliers=CoStateBundle(*unpack(idx, lam).blocks()),
         state=state,
+        cache=cache,
     )
 
 
@@ -401,7 +402,8 @@ def gradient_check(
     else:
         state = _solved_state(problem, mesh, controls, cfg, " for gradient check")
     slots = derive_slots(mesh, state)
-    cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
+    # the dense oracle's cache is that of the same snapshot
+    cache = dto.cache if dto else partial_cache(problem, mesh, slot_tables(state, slots, controls))
     costate, crep = solve_costate(
         problem, mesh, state, slots, controls, costate_cfg, cache
     )
