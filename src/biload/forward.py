@@ -20,6 +20,13 @@ relaxation and one guard test over the whole vector, elementwise and so
 with the bits of the blockwise loop; the blocks are walked only to name
 the one that left the guard.
 
+`solve_forward_many` iterates independent solves together: the flat is
+2-D, a member per row, and blocks, slots, kernel values and contractions
+carry the member axis in front (stencils count axes from the end, einsums
+take it as "...").  Each member has its own residual, relaxation and
+history, and leaves the active set once it converges; its bits are those
+of its own `solve_forward`, which passes no member axis.
+
 Starting from the zero bundle, the iteration is deterministic: identical
 inputs give bitwise-identical results.
 """
@@ -28,10 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, KernelEvalError, ShapeError
 from .kernels import (
     TERMS,
     Problem,
@@ -50,7 +58,9 @@ from .state import (
     block_shapes,
     bundle_of,
     derive_slots,
+    node_shape,
     pack,
+    stack,
     zero_state,
 )
 
@@ -84,26 +94,26 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
 
-def assemble_sweep(mesh: Mesh, n: int, contributions) -> StateBundle:
+def assemble_sweep(mesh: Mesh, n: int, contributions, lead: tuple = ()) -> StateBundle:
     """Sum (equation family, consumer-node array) contributions into one
     block per family, overwrite the trajectory's wall columns with the
     boundary-trace block, and bundle the result.  The blocks are views of
-    the bundle's flat vector."""
+    the bundle's flat vector, with the member axes lead in front."""
     shapes = block_shapes(mesh.Nt, mesh.Nx, (n,) * len(LAYOUTS))
-    image = bundle_of(StateBundle, np.zeros(sum(map(math.prod, shapes))), shapes)
+    image = bundle_of(StateBundle, np.zeros(lead + (sum(map(math.prod, shapes)),)), shapes)
     acc = dict(zip((L.eq for L in LAYOUTS), image.blocks()))
     for eq, value in contributions:
         acc[eq] += value
-    image.phi[:, 0, :] = image.phi_bd[:, LEFT, :]
-    image.phi[:, -1, :] = image.phi_bd[:, RIGHT, :]
+    image.phi[..., 0, :] = image.phi_bd[..., LEFT, :]
+    image.phi[..., -1, :] = image.phi_bd[..., RIGHT, :]
     return image
 
 
-def _kernel_terms(problem: Problem, mesh: Mesh, tables):
+def _kernel_terms(problem: Problem, mesh: Mesh, tables, lead: tuple):
     """Evaluate every registered kernel and contract it onto its
     consumer nodes."""
     for kid in problem.kernels:
-        F = eval_kernel(problem, kid, mesh, tables)
+        F = eval_kernel(problem, kid, mesh, tables, lead=lead)
         check_finite(f"kernel {kid}", F)
         yield TERMS[kid].eq, forward_contract(mesh, kid, F)
 
@@ -116,52 +126,68 @@ def sweep_map(
     slots: DerivedSlots = None,
 ) -> StateBundle:
     """One full evaluation of the right-hand sides from a state snapshot,
-    with the trajectory's wall columns overwritten by the trace block."""
+    with the trajectory's wall columns overwritten by the trace block.
+    State and controls may carry the same leading member axis."""
     if slots is None:
         slots = derive_slots(mesh, state)
     tables = slot_tables(state, slots, controls)
-    return assemble_sweep(mesh, problem.n, _kernel_terms(problem, mesh, tables))
+    lead = state.phi.shape[:-3]
+    return assemble_sweep(mesh, problem.n, _kernel_terms(problem, mesh, tables, lead), lead)
 
 
-def fixed_point(sweep, x0, cfg: SolverConfig, label: str = ""):
+def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):
     """Relaxed Picard iteration x <- (1 - relax) x + relax sweep(x) from
     the bundle x0.  Returns (bundle, SolveReport).
 
     Non-convergence within max_iter is reported, not raised; an iterate
     leaving the divergence guard raises, naming the block (label prefixes
     the message).
+
+    When x0's flat is 2-D (a member per row, see the module docstring),
+    sweep(x, *operands) gets the active members and their rows of the
+    member bundles operands; one (bundle, SolveReport) per member returns.
     """
-    x, xf = x0, pack(x0)
-    shapes = tuple(block.shape for block in x0.blocks())
-    history = []
-    converged = False
-    residual = float("inf")
+    xf = pack(x0) if x0.flat is None else x0.flat
+    many = xf.ndim == 2
+    x, cls = x0, type(x0)
+    shapes = tuple(block.shape[many:] for block in x0.blocks())
+    rows = list(range(len(xf) if many else 1))  # members still iterating
+    histories, final = [[] for _ in rows], {}
     theta, guard = cfg.relax, cfg.divergence_guard
     for _ in range(cfg.max_iter):
-        target = sweep(x)
+        target = sweep(x, *operands)
         tf = pack(target) if target.flat is None else target.flat
-        residual = float(np.max(np.abs(tf - xf)))
+        residual = np.max(np.abs(tf - xf), axis=-1).tolist()
         if theta == 1.0:
             x, xf = target, tf
         else:
             xf = (1.0 - theta) * xf + theta * tf
-            x = bundle_of(type(x), xf, shapes)
-        history.append(residual)
+            x = bundle_of(cls, xf, shapes)
         if not np.all(np.abs(xf) <= guard):
             name = next(n for n, _, b in x.named() if b.size and not np.all(np.abs(b) <= guard))
             raise DivergenceError(
                 f"{label}iteration diverged: block {name} exceeded guard {guard:g}"
             )
-        if residual <= cfg.tol:
-            converged = True
+        if not many:
+            histories[0].append(residual)
+            if residual <= cfg.tol:
+                break
+            continue
+        for r, res in zip(rows, residual):
+            histories[r].append(res)
+        keep = [not res <= cfg.tol for res in residual]
+        if not any(keep):
             break
-    report = SolveReport(
-        iterations=len(history),
-        final_residual=residual,
-        converged=converged,
-        residual_history=history,
-    )
-    return x, report
+        if not all(keep):  # the converged members leave the batch
+            final.update((r, row) for r, row, k in zip(rows, xf, keep) if not k)
+            rows = [r for r, k in zip(rows, keep) if k]
+            cut = lambda b: bundle_of(type(b), b.flat[keep], tuple(a.shape[1:] for a in b.blocks()))
+            x, operands = cut(x), [cut(op) for op in operands]
+            xf = x.flat
+    final.update(zip(rows, xf if many else [xf]))
+    out = [(bundle_of(cls, final[r], shapes), SolveReport(len(h), h[-1], h[-1] <= cfg.tol, h))
+           for r, h in enumerate(histories)]
+    return out if many else out[0]
 
 
 def solve_forward(
@@ -176,6 +202,35 @@ def solve_forward(
         zero_state(mesh, problem.n),
         cfg or SolverConfig(),
     )
+
+
+#: Bytes the largest term array of a batched sweep may take, small so that a
+#: batch adds little to peak memory; members go in chunks that fit.
+BATCH_BYTES = 1 << 18
+
+
+def member_chunks(problem: Problem, mesh: Mesh, count: int) -> list:
+    """Ranges splitting count members into chunks within BATCH_BYTES."""
+    sizes = [math.prod(node_shape(TERMS[k].full, mesh.Nt, mesh.Nx)) for k in problem.kernels]
+    size = max(1, BATCH_BYTES // (8 * problem.n * max(sizes, default=1)))
+    return [range(a, min(a + size, count)) for a in range(0, count, size)]
+
+
+def solve_forward_many(problem: Problem, mesh: Mesh, controls_list, cfg: SolverConfig = None):
+    """solve_forward at each bundle of controls_list, the members iterated
+    together along a leading axis; one (state, SolveReport) per member, bit
+    for bit those of solve_forward.  A chunk of members that raises a solver
+    error is solved again one at a time, in order, so the error raised is
+    the one a loop of solve_forward raises."""
+    cfg, sweep, out = cfg or SolverConfig(), partial(sweep_map, problem, mesh), []
+    for chunk in member_chunks(problem, mesh, len(controls_list)):
+        members = [controls_list[k] for k in chunk]
+        x0 = stack([zero_state(mesh, problem.n)] * len(members))
+        try:
+            out += fixed_point(sweep, x0, cfg, operands=(stack(members),))
+        except (DivergenceError, KernelEvalError, ShapeError):
+            out += [solve_forward(problem, mesh, c, cfg) for c in members]
+    return out
 
 
 def eval_cost(

@@ -152,17 +152,21 @@ class KernelShape:
     def arrange(self, slot: str, tables: Mapping) -> np.ndarray:
         """A slot's natural-layout array from tables (family -> slot ->
         array), moved so its axes land at their letter positions within
-        the full axes, singleton elsewhere, component axis last."""
+        the full axes, singleton elsewhere, component axis last.  Leading
+        member axes stay in front."""
         fam = SLOT_FAMILY_OF[slot]
-        perm, pattern = self.layouts[fam]
         arr = tables[fam][slot]
-        return arr.transpose(perm).reshape(_arranged_shape(pattern, arr.shape))
+        perm, target = _arrangement(self.layouts[fam], arr.shape)
+        return arr.transpose(perm).reshape(target)
 
 
 @functools.lru_cache(maxsize=1024)
-def _arranged_shape(pattern: tuple, shape: tuple) -> tuple:
-    """KernelShape.arrange's reshape target for a slot array of this shape."""
-    return tuple(1 if a is None else shape[a] for a in pattern) + shape[-1:]
+def _arrangement(layout: tuple, shape: tuple) -> tuple:
+    """KernelShape.arrange's transpose and reshape for this slot shape."""
+    perm, pattern = layout
+    lead = len(shape) - len(perm)
+    nodes = tuple(1 if a is None else shape[lead + a] for a in pattern)
+    return (*range(lead), *(lead + a for a in perm)), shape[:lead] + nodes + shape[-1:]
 
 
 KERNEL_SHAPES: Mapping[str, KernelShape] = {
@@ -364,9 +368,9 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args):
+def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args, lead=()):
     """The value (slot None) or one slot partial of a term on its full
-    grid: shape (*grid_axes, *value_axes[, slot_dim])."""
+    grid: shape (*lead member axes, *grid_axes, *value_axes[, slot_dim])."""
     shape = TERMS[name]
     term = problem.terms[name]
     if args is None:
@@ -378,7 +382,7 @@ def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args):
         raw = term.partials[slot](args)
         dims += (problem.slot_dim(slot),)
     raw = np.asarray(raw, dtype=float)
-    target = node_shape(shape.full, mesh.Nt, mesh.Nx) + dims
+    target = lead + node_shape(shape.full, mesh.Nt, mesh.Nx) + dims
     if raw.shape == target:
         view = raw.view()
         view.flags.writeable = False  # like broadcast_to's: a returned slot view stays unwritten
@@ -393,11 +397,12 @@ def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args):
 
 
 def eval_kernel(
-    problem: Problem, kid: str, mesh: Mesh, tables: Mapping, args: KernelArgs = None
+    problem: Problem, kid: str, mesh: Mesh, tables: Mapping, args: KernelArgs = None, lead=()
 ) -> np.ndarray:
     """Evaluate a kernel on the full consumer x producer grid, shape
-    (*grid_axes, n), or a cost density on its nodes (kid a cost name)."""
-    return _evaluate(problem, kid, None, mesh, tables, args)
+    (*lead, *grid_axes, n), or a cost density on its nodes (kid a cost
+    name); lead holds the member axes of the slots in tables."""
+    return _evaluate(problem, kid, None, mesh, tables, args, lead)
 
 
 def eval_kernel_partial(
@@ -434,7 +439,7 @@ def _contraction(shape: KernelShape, mesh: Mesh, transpose: bool, trail: str = "
             subs.append("e")
     if not transpose:
         out = shape.consumer + "n"
-        return ops, subs, ",".join(subs + [shape.full + "n"]) + "->" + out, out
+        return ops, subs, ",".join(subs + ["..." + shape.full + "n"]) + "->..." + out, out
     # weight for each consumer axis left free by the producer point
     if c_space == "j" and c_space not in shape.slot_letters[shape.family]:
         ops.append(mesh.wx)
@@ -445,11 +450,11 @@ def _contraction(shape: KernelShape, mesh: Mesh, transpose: bool, trail: str = "
     return ops, subs, spec, out
 
 
-def _stationary(shape: KernelShape, arr: np.ndarray) -> bool:
-    """True when arr is the broadcast of a raw array that does not depend
-    on the consumer time of a running, space-integrated term."""
+def _stationary(shape: KernelShape, arr: np.ndarray, lead: int = 0) -> bool:
+    """True when arr (lead member axes, then the full axes) broadcasts a
+    raw array free of the consumer time of a running, space-integrated term."""
     axis = shape.stationary_axis
-    return axis is not None and arr.strides[axis] == 0
+    return axis is not None and arr.strides[lead + axis] == 0
 
 
 @functools.lru_cache(maxsize=256)
@@ -465,15 +470,17 @@ def _raw_contract(subs: list, ops: list, arr: np.ndarray, letters: str, out: str
 
     Every stride-0 axis of arr whose letter another operand carries is
     indexed at 0; the operands are then contracted pair by pair along a
-    path found once per subscripts and shapes.  Each pair is a plain
-    einsum, not BLAS, so the bits do not depend on the BLAS build or its
-    thread count.
+    path found once per subscripts and one member's shapes, arr's leading
+    member axes riding in front.  Each pair is a plain einsum, not BLAS,
+    so the bits do not depend on the BLAS build or its thread count.
     """
+    lead = arr.ndim - len(letters)
     carried = set("".join(subs))
-    drop = [step == 0 and c in carried for c, step in zip(letters, arr.strides)]
+    drop = [step == 0 and c in carried for c, step in zip(letters, arr.strides[lead:])]
     subs = subs + ["".join(c for c, gone in zip(letters, drop) if not gone)]
-    ops = ops + [arr[tuple(0 if gone else slice(None) for gone in drop)]]
-    path = _einsum_path(",".join(subs) + "->" + out, tuple(op.shape for op in ops))
+    ops = ops + [arr[(..., *(0 if gone else slice(None) for gone in drop))]]
+    shapes = tuple(op.shape[op.ndim - len(sub):] for sub, op in zip(subs, ops))
+    path = _einsum_path(",".join(subs) + "->" + out, shapes)
     for pair in path:
         picked = [(subs.pop(a), ops.pop(a)) for a in sorted(pair, reverse=True)]
         rest = "".join(subs)
@@ -482,7 +489,7 @@ def _raw_contract(subs: list, ops: list, arr: np.ndarray, letters: str, out: str
         )
         subs.append(keep)
         ops.append(
-            np.einsum(",".join(sub for sub, _ in picked) + "->" + keep,
+            np.einsum(",".join("..." + sub for sub, _ in picked) + "->..." + keep,
                       *(op for _, op in picked))
         )
     return ops[0]
@@ -502,7 +509,7 @@ def forward_contract(mesh: Mesh, kid: str, F: np.ndarray) -> np.ndarray:
     """
     shape = TERMS[kid]
     ops, subs, spec, out = mesh.plan(("forward", kid), _contraction, shape, mesh, False)
-    if _stationary(shape, F):
+    if _stationary(shape, F, F.ndim - len(shape.full) - 1):
         return _raw_contract(subs, ops, F, shape.full + "n", out)
     return np.einsum(spec, *ops, F)
 

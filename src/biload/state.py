@@ -35,7 +35,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import ShapeError
-from .mesh import LEFT, RIGHT, Mesh, StencilKind, apply_stencil
+from .mesh import LEFT, RIGHT, Mesh, apply_axis
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,18 @@ class Layout:
         letters, then each operand's node letters plus comp, e.g.
         "i,j,ij->" for a grid density and "i,j,ijm,ijm->" for a grid
         pairing with comp="m".  The wall pairs have no weighted axis and
-        are a plain sum.
+        are a plain sum.  Operands with leading member axes give one value
+        per member, as an array.
         """
         weights = {"i": mesh.wt, "j": mesh.wx}
         weighted = [c for c in self.letters if c in weights]
         if not weighted:
             prod = operands[0] if len(operands) == 1 else operands[0] * operands[1]
-            return float(np.sum(prod))
-        subs = ",".join(weighted + [self.letters + comp] * len(operands))
-        return float(np.einsum(subs + "->", *(weights[c] for c in weighted), *operands))
+            out = np.sum(prod, axis=tuple(range(-len(self.letters + comp), 0)))
+        else:
+            subs = ",".join(weighted + ["..." + self.letters + comp] * len(operands))
+            out = np.einsum(subs + "->...", *(weights[c] for c in weighted), *operands)
+        return float(out) if out.ndim == 0 else out
 
 
 def axis_sizes(Nt: int, Nx: int) -> dict:
@@ -220,13 +223,14 @@ def zero_controls(mesh: Mesh, m_u: int, m_w: int) -> ControlBundle:
 
 
 def check_state_shapes(mesh: Mesh, state: StateBundle) -> int:
-    """Validate all six blocks against the mesh; returns the state dimension."""
-    n = state.phi.shape[-1] if state.phi.ndim == 3 else -1
+    """Validate the six blocks past phi's member axes; returns the state dimension."""
+    n = state.phi.shape[-1] if state.phi.ndim >= 3 else -1
+    lead = state.phi.shape[:-3]
     expected = block_shapes(mesh.Nt, mesh.Nx, (n,) * len(LAYOUTS))
     for name, shape, block in zip(state.names, expected, state.blocks()):
-        if block.shape != shape:
+        if block.shape != lead + shape:
             raise ShapeError(
-                f"state block {name}: expected shape {shape}, got {block.shape}"
+                f"state block {name}: expected shape {lead + shape}, got {block.shape}"
             )
     return n
 
@@ -243,20 +247,21 @@ def _edge_gradient(mesh: Mesh, interior: np.ndarray, wall: np.ndarray) -> np.nda
     return np.stack([left, right], axis=-2)
 
 
-#: Each derived slot from the mesh m, the state s and the kept slots d.
+#: Each derived slot from the mesh m, the state s and the kept slots d; the
+#: stencils count axes from the end, so leading member axes ride along.
 _DERIVED = {
-    "p": lambda m, s, d: apply_stencil(m, StencilKind.Dx, s.phi),
-    "q": lambda m, s, d: apply_stencil(m, StencilKind.Dxx, s.phi),
-    "phi_dot": lambda m, s, d: apply_stencil(m, StencilKind.Dt, s.phi),
-    "p_dot": lambda m, s, d: np.tensordot(m.d1_t, d.p, axes=(1, 0)),
-    "q_dot": lambda m, s, d: np.tensordot(m.d1_t, d.q, axes=(1, 0)),
-    "phi_bd_dot": lambda m, s, d: np.tensordot(m.d1_t, s.phi_bd, axes=(1, 0)),
+    "p": lambda m, s, d: apply_axis(m.d1_x, s.phi, -2),
+    "q": lambda m, s, d: apply_axis(m.d2_x, s.phi, -2),
+    "phi_dot": lambda m, s, d: apply_axis(m.d1_t, s.phi, -3),
+    "p_dot": lambda m, s, d: apply_axis(m.d1_t, d.p, -3),
+    "q_dot": lambda m, s, d: apply_axis(m.d1_t, d.q, -3),
+    "phi_bd_dot": lambda m, s, d: apply_axis(m.d1_t, s.phi_bd, -3),
     "p_bd": lambda m, s, d: _edge_gradient(m, s.phi, s.phi_bd),
-    "p_bd_dot": lambda m, s, d: np.tensordot(m.d1_t, d.p_bd, axes=(1, 0)),
-    "p0": lambda m, s, d: np.tensordot(m.d1_x, s.phi0, axes=(1, 0)),
-    "q0": lambda m, s, d: np.tensordot(m.d2_x, s.phi0, axes=(1, 0)),
-    "pT": lambda m, s, d: np.tensordot(m.d1_x, s.phiT, axes=(1, 0)),
-    "qT": lambda m, s, d: np.tensordot(m.d2_x, s.phiT, axes=(1, 0)),
+    "p_bd_dot": lambda m, s, d: apply_axis(m.d1_t, d.p_bd, -3),
+    "p0": lambda m, s, d: apply_axis(m.d1_x, s.phi0, -2),
+    "q0": lambda m, s, d: apply_axis(m.d2_x, s.phi0, -2),
+    "pT": lambda m, s, d: apply_axis(m.d1_x, s.phiT, -2),
+    "qT": lambda m, s, d: apply_axis(m.d2_x, s.phiT, -2),
     "p0_bd": lambda m, s, d: _edge_gradient(m, s.phi0, s.phi0_bd),
     "pT_bd": lambda m, s, d: _edge_gradient(m, s.phiT, s.phiT_bd),
 }
@@ -324,8 +329,18 @@ def flat_spans(shapes: tuple) -> tuple:
 
 
 def bundle_of(cls: type, flat: np.ndarray, shapes: tuple) -> _Bundle:
-    """A bundle of class cls whose blocks are views of flat."""
-    return cls(*(flat[a:b].reshape(s) for a, b, s in flat_spans(shapes)), flat=flat)
+    """A bundle of class cls whose blocks are views of flat.  A 2-D flat
+    holds one member per row, and every block gains that member axis."""
+    if flat.ndim == 1:
+        return cls(*(flat[a:b].reshape(s) for a, b, s in flat_spans(shapes)), flat=flat)
+    lead = flat.shape[:1]
+    return cls(*(flat[:, a:b].reshape(lead + s) for a, b, s in flat_spans(shapes)), flat=flat)
+
+
+def stack(bundles: list) -> _Bundle:
+    """One bundle over a 2-D flat holding the given bundles as its rows."""
+    shapes = tuple(b.shape for b in bundles[0].blocks())
+    return bundle_of(type(bundles[0]), np.stack([pack(b) for b in bundles]), shapes)
 
 
 def flat_index(mesh: Mesh, n: int) -> FlatIndex:

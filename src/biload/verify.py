@@ -29,7 +29,14 @@ from .adjoint import (
     solve_costate,
 )
 from .errors import ConfigError, DivergenceError, SingularSystemError
-from .forward import SolverConfig, assemble_sweep, eval_cost, solve_forward
+from .forward import (
+    SolverConfig,
+    assemble_sweep,
+    eval_cost,
+    member_chunks,
+    solve_forward,
+    solve_forward_many,
+)
 from .kernels import TERMS, Problem, forward_contract, slot_tables
 from .mesh import CurveMesh, Mesh, StencilKind, apply_stencil, curve_diff
 from .state import (
@@ -38,6 +45,7 @@ from .state import (
     ControlBundle,
     CoStateBundle,
     StateBundle,
+    bundle_of,
     control_index,
     derive_slots,
     flat_index,
@@ -63,9 +71,10 @@ def _perturbed(controls: ControlBundle, block: str, direction, scale: float):
     return new
 
 
-def _solved_state(problem, mesh, controls, cfg, context: str = "") -> StateBundle:
-    """Forward solve that raises unless it converges."""
-    state, report = solve_forward(problem, mesh, controls, cfg)
+def _solved_state(solved, context: str = "") -> StateBundle:
+    """The state of a forward solution (state, SolveReport); raises unless
+    it converged."""
+    state, report = solved
     if not report.converged:
         raise DivergenceError(
             f"forward solve did not converge{context} "
@@ -74,10 +83,9 @@ def _solved_state(problem, mesh, controls, cfg, context: str = "") -> StateBundl
     return state
 
 
-def _solve_and_cost(problem, mesh, controls, cfg) -> float:
-    state = _solved_state(problem, mesh, controls, cfg)
-    slots = derive_slots(mesh, state)
-    return eval_cost(problem, mesh, state, slots, controls)
+def _fd_cost(problem, mesh, controls, solved) -> float:
+    state = _solved_state(solved)
+    return eval_cost(problem, mesh, state, derive_slots(mesh, state), controls)
 
 
 def fd_directional(
@@ -93,15 +101,17 @@ def fd_directional(
 
     Each evaluation re-solves the forward system at tight tolerance.  The
     step trades truncation against solver-noise amplification; the default
-    pairs eps = 1e-5 with tol = 1e-12.
+    pairs eps = 1e-5 with tol = 1e-12.  gradient_check solves the central
+    differences of all its directions as one batch.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be positive and finite, got {eps}")
     if getattr(controls, block).shape != np.asarray(direction).shape:
         raise ConfigError(f"direction shape mismatch for block {block!r}")
     cfg = cfg or _TIGHT
-    j_up = _solve_and_cost(problem, mesh, _perturbed(controls, block, direction, eps), cfg)
-    j_dn = _solve_and_cost(problem, mesh, _perturbed(controls, block, direction, -eps), cfg)
+    up, dn = (_perturbed(controls, block, direction, s) for s in (eps, -eps))
+    j_up = _fd_cost(problem, mesh, up, solve_forward(problem, mesh, up, cfg))
+    j_dn = _fd_cost(problem, mesh, dn, solve_forward(problem, mesh, dn, cfg))
     return (j_up - j_dn) / (2.0 * eps)
 
 
@@ -124,14 +134,14 @@ def _linearized_terms(problem, mesh, cache, dtables):
             yield shape.eq, forward_contract(mesh, kid, dF)
 
 
-def _linearized_sweep(problem, mesh, cache, dstate, dcontrols):
+def _linearized_sweep(problem, mesh, cache, dstate, dcontrols, lead=()):
     dslots = derive_slots(mesh, dstate)
     dtables = slot_tables(dstate, dslots, dcontrols)
     terms = _linearized_terms(problem, mesh, cache, dtables)
-    return assemble_sweep(mesh, problem.n, terms), dtables
+    return assemble_sweep(mesh, problem.n, terms, lead), dtables
 
 
-def _linearized_cost(problem, mesh, cache, dtables) -> float:
+def _linearized_cost(problem, mesh, cache, dtables):
     dJ = 0.0
     for name, term in problem.cost_terms():
         shape = TERMS[name]
@@ -139,6 +149,21 @@ def _linearized_cost(problem, mesh, cache, dtables) -> float:
             darr = shape.arrange(slot, dtables)
             dJ += LAYOUT[shape.eq].quad(mesh, cache[(name, slot)], darr, comp="d")
     return dJ
+
+
+def _linearized_columns(problem, mesh, cache, index, at):
+    """Image (a row per column) and cost differential of the linearized
+    sweep at every unit vector of index's flat space, batched per member
+    chunk; at(unit) gives (dstate, dcontrols) for a bundle of them."""
+    images, costs = [], []
+    for rows in member_chunks(problem, mesh, index.total):
+        unit = np.zeros((len(rows), index.total))
+        unit[range(len(rows)), rows] = 1.0
+        unit = bundle_of(index.bundle, unit, index.shapes)
+        image, dtables = _linearized_sweep(problem, mesh, cache, *at(unit), (len(rows),))
+        images.append(image.flat)
+        costs.append(np.broadcast_to(_linearized_cost(problem, mesh, cache, dtables), len(rows)))
+    return np.concatenate(images), np.concatenate(costs)
 
 
 @dataclass
@@ -169,37 +194,19 @@ def dto_solve(
         raise ConfigError(
             f"dense oracle limited to {size_cap} unknowns, grid has {idx.total}"
         )
-    state = _solved_state(problem, mesh, controls, cfg or _TIGHT, " for the dense oracle")
+    solved = solve_forward(problem, mesh, controls, cfg or _TIGHT)
+    state = _solved_state(solved, " for the dense oracle")
     slots = derive_slots(mesh, state)
     tables = slot_tables(state, slots, controls)
     cache = partial_cache(problem, mesh, tables)
 
-    N = idx.total
-    A = np.empty((N, N))
-    dJdPhi = np.empty(N)
-    zctrl = zero_controls(mesh, problem.m_u, problem.m_w)
-    basis = np.zeros(N)
-    for col in range(N):
-        basis[col] = 1.0
-        dstate = unpack(idx, basis)
-        dsw, dtables = _linearized_sweep(problem, mesh, cache, dstate, zctrl)
-        A[:, col] = dsw.flat - basis
-        dJdPhi[col] = _linearized_cost(problem, mesh, cache, dtables)
-        basis[col] = 0.0  # dstate's slots are derived on read: none after this
-
     cidx = control_index(mesh, problem.m_u, problem.m_w)
-    M = cidx.total
-    B = np.empty((N, M))
-    dJdU = np.empty(M)
+    zctrl = zero_controls(mesh, problem.m_u, problem.m_w)
+    images, dJdPhi = _linearized_columns(problem, mesh, cache, idx, lambda d: (d, zctrl))
+    A = np.ascontiguousarray(images.T) - np.eye(idx.total)
     zst = zero_state(mesh, problem.n)
-    cbasis = np.zeros(M)
-    for col in range(M):
-        cbasis[col] = 1.0
-        dctrl = unpack(cidx, cbasis)
-        dsw, dtables = _linearized_sweep(problem, mesh, cache, zst, dctrl)
-        B[:, col] = dsw.flat
-        dJdU[col] = _linearized_cost(problem, mesh, cache, dtables)
-        cbasis[col] = 0.0
+    images, dJdU = _linearized_columns(problem, mesh, cache, cidx, lambda d: (zst, d))
+    B = np.ascontiguousarray(images.T)
 
     try:
         lam = np.linalg.solve(A.T, -dJdPhi)
@@ -392,6 +399,10 @@ def gradient_check(
     """
     if n_dirs < 1:
         raise ConfigError("n_dirs must be at least 1")
+    if blocks is not None and not blocks:
+        raise ConfigError("blocks must name at least one control block")
+    if not (math.isfinite(fd_eps) and fd_eps > 0):
+        raise ConfigError(f"fd_eps must be positive and finite, got {fd_eps}")
     cfg = cfg or _TIGHT
     costate_cfg = costate_cfg or cfg
     if use_dto is None:
@@ -400,7 +411,7 @@ def gradient_check(
     if dto is not None:
         state = dto.state
     else:
-        state = _solved_state(problem, mesh, controls, cfg, " for gradient check")
+        state = _solved_state(solve_forward(problem, mesh, controls, cfg), " for gradient check")
     slots = derive_slots(mesh, state)
     # the dense oracle's cache is that of the same snapshot
     cache = dto.cache if dto else partial_cache(problem, mesh, slot_tables(state, slots, controls))
@@ -423,28 +434,19 @@ def gradient_check(
         grad=grad,
     )
     rng = np.random.default_rng(seed)
-    for block in blocks:
-        m = problem.slot_dim(block)
-        for k in range(n_dirs):
-            direction = smooth_direction(mesh, block, m, rng)
-            fd = fd_directional(problem, mesh, controls, block, direction, fd_eps, cfg)
-            adj = block_pairing(mesh, block, grad.block(block), direction)
-            dto_val = None
-            err_dto = None
-            if dto is not None:
-                dto_val = float(np.sum(dto.grad.block(block) * direction))
-                err_dto = _rel_gap(dto_val, fd)
-            report.entries.append(
-                GradCheckEntry(
-                    block=block,
-                    direction=k,
-                    fd=fd,
-                    adjoint=adj,
-                    dto=dto_val,
-                    err_adjoint=_rel_gap(adj, fd),
-                    err_dto=err_dto,
-                )
-            )
+    dirs = [(block, k, smooth_direction(mesh, block, problem.slot_dim(block), rng))
+            for block in blocks for k in range(n_dirs)]
+    # the central differences of every direction, solved as one batch
+    members = [_perturbed(controls, b, d, s) for b, _, d in dirs for s in (fd_eps, -fd_eps)]
+    solved = solve_forward_many(problem, mesh, members, cfg)
+    costs = [_fd_cost(problem, mesh, c, pair) for c, pair in zip(members, solved)]
+    for (block, k, direction), j_up, j_dn in zip(dirs, costs[::2], costs[1::2]):
+        fd = (j_up - j_dn) / (2.0 * fd_eps)
+        adj = block_pairing(mesh, block, grad.block(block), direction)
+        dto_val = None if dto is None else float(np.sum(dto.grad.block(block) * direction))
+        err_dto = None if dto is None else _rel_gap(dto_val, fd)
+        entry = GradCheckEntry(block, k, fd, adj, dto_val, _rel_gap(adj, fd), err_dto)
+        report.entries.append(entry)
     return report
 
 
@@ -485,7 +487,7 @@ def _refined(mesh: Mesh, factor: int) -> Mesh:
 def forward_sup_error(problem, mesh, controls, reference, cfg) -> float:
     """Sup-norm trajectory error against an analytic reference, measured
     on interior columns (wall columns belong to the trace unknown)."""
-    state = _solved_state(problem, mesh, controls, cfg, " in refinement study")
+    state = _solved_state(solve_forward(problem, mesh, controls, cfg), " in refinement study")
     ref = np.asarray(reference(mesh.t, mesh.x), dtype=float)
     if ref.ndim == 2:
         ref = ref[:, :, None]
