@@ -157,7 +157,7 @@ def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):
     for _ in range(cfg.max_iter):
         target = sweep(x, *operands)
         tf = pack(target) if target.flat is None else target.flat
-        residual = np.max(np.abs(tf - xf), axis=-1).tolist()
+        residual = np.atleast_1d(np.max(np.abs(tf - xf), axis=-1)).tolist()
         if theta == 1.0:
             x, xf = target, tf
         else:
@@ -168,11 +168,6 @@ def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):
             raise DivergenceError(
                 f"{label}iteration diverged: block {name} exceeded guard {guard:g}"
             )
-        if not many:
-            histories[0].append(residual)
-            if residual <= cfg.tol:
-                break
-            continue
         for r, res in zip(rows, residual):
             histories[r].append(res)
         keep = [not res <= cfg.tol for res in residual]
@@ -218,19 +213,20 @@ def member_chunks(problem: Problem, mesh: Mesh, count: int) -> list:
 
 def solve_forward_many(problem: Problem, mesh: Mesh, controls_list, cfg: SolverConfig = None):
     """solve_forward at each bundle of controls_list, the members iterated
-    together along a leading axis; one (state, SolveReport) per member, bit
-    for bit those of solve_forward.  A chunk of members that raises a solver
-    error is solved again one at a time, in order, so the error raised is
-    the one a loop of solve_forward raises."""
-    cfg, sweep, out = cfg or SolverConfig(), partial(sweep_map, problem, mesh), []
+    together along a leading axis; yields one (state, SolveReport) per
+    member, in order, bit for bit those of solve_forward.  A chunk of
+    members that raises a solver error is solved again one at a time, so a
+    caller that handles each result before taking the next stops at the
+    same member, with the same error, as a loop of solve_forward."""
+    cfg, sweep = cfg or SolverConfig(), partial(sweep_map, problem, mesh)
     for chunk in member_chunks(problem, mesh, len(controls_list)):
         members = [controls_list[k] for k in chunk]
         x0 = stack([zero_state(mesh, problem.n)] * len(members))
         try:
-            out += fixed_point(sweep, x0, cfg, operands=(stack(members),))
+            solved = fixed_point(sweep, x0, cfg, operands=(stack(members),))
         except (DivergenceError, KernelEvalError, ShapeError):
-            out += [solve_forward(problem, mesh, c, cfg) for c in members]
-    return out
+            solved = (solve_forward(problem, mesh, c, cfg) for c in members)
+        yield from solved
 
 
 def eval_cost(

@@ -42,7 +42,6 @@ axis of the dimension d of the slot being differentiated (append
 from __future__ import annotations
 
 import functools
-from collections import abc
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -74,6 +73,11 @@ SLOT_FAMILIES: Mapping[str, tuple] = {
 
 SLOT_FAMILY_OF = {
     slot: fam for fam, slots in SLOT_FAMILIES.items() for slot in slots
+}
+#: Which of slot_tables' (state, slots, controls) holds each slot array.
+_SLOT_SOURCE = {
+    slot: 0 if slot in StateBundle.names else 2 if slot in CONTROL_BLOCKS else 1
+    for slot in SLOT_FAMILY_OF
 }
 
 #: Kernel-argument name and mesh coordinate array of each axis letter (see
@@ -149,14 +153,13 @@ class KernelShape:
         ):
             object.__setattr__(self, name, value)
 
-    def arrange(self, slot: str, tables: Mapping) -> np.ndarray:
-        """A slot's natural-layout array from tables (family -> slot ->
-        array), moved so its axes land at their letter positions within
-        the full axes, singleton elsewhere, component axis last.  Leading
-        member axes stay in front."""
-        fam = SLOT_FAMILY_OF[slot]
-        arr = tables[fam][slot]
-        perm, target = _arrangement(self.layouts[fam], arr.shape)
+    def arrange(self, slot: str, tables: tuple) -> np.ndarray:
+        """A slot's natural-layout array from tables (see slot_tables),
+        moved so its axes land at their letter positions within the full
+        axes, singleton elsewhere, component axis last.  Leading member
+        axes stay in front."""
+        arr = getattr(tables[_SLOT_SOURCE[slot]], slot)
+        perm, target = _arrangement(self.layouts[SLOT_FAMILY_OF[slot]], arr.shape)
         return arr.transpose(perm).reshape(target)
 
 
@@ -229,7 +232,7 @@ class KernelArgs:
     """Coordinate and slot arrays pre-shaped for broadcasting: values, plus
     each slot of shape's families arranged from tables on first access."""
 
-    def __init__(self, values: dict, shape: "KernelShape" = None, tables: Mapping = None):
+    def __init__(self, values: dict, shape: "KernelShape" = None, tables: tuple = None):
         self._values, self._shape, self._tables = values, shape, tables
 
     def __getattr__(self, name):
@@ -238,51 +241,20 @@ class KernelArgs:
             values[name] = shape.arrange(name, self._tables)
         if name in values:
             return values[name]
-        slots = [s for fam in shape.families for s in self._tables[fam]] if shape else []
+        slots = [s for fam in shape.families for s in SLOT_FAMILIES[fam]] if shape else []
         raise AttributeError(
             f"kernel argument {name!r} not available here; "
             f"have {sorted({*values, *slots})}"
         )
 
 
-#: Which of (state, slots, controls) holds each slot array.
-_SLOT_SOURCE = {
-    slot: 0 if slot in StateBundle.names else 2 if slot in CONTROL_BLOCKS else 1
-    for slot in SLOT_FAMILY_OF
-}
+def slot_tables(state: StateBundle, slots: DerivedSlots, controls: ControlBundle) -> tuple:
+    """The sources of the slot arrays, (state, slots, controls): each slot
+    is read (and derived) from its source only when a term reads it."""
+    return state, slots, controls
 
 
-class _FamilyTable(abc.Mapping):
-    """One slot family's arrays by name, fetched from their bundle when read."""
-
-    def __init__(self, names: tuple, sources: tuple):
-        self._names, self._sources = names, sources
-
-    def __getitem__(self, slot):
-        if slot not in self._names:
-            raise KeyError(slot)
-        return getattr(self._sources[_SLOT_SOURCE[slot]], slot)
-
-    def __contains__(self, slot):
-        return slot in self._names
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __len__(self):
-        return len(self._names)
-
-
-def slot_tables(
-    state: StateBundle, slots: DerivedSlots, controls: ControlBundle
-) -> dict:
-    """Natural-layout slot arrays: family -> slot name -> array, each
-    fetched (and derived) only when read."""
-    sources = (state, slots, controls)
-    return {fam: _FamilyTable(names, sources) for fam, names in SLOT_FAMILIES.items()}
-
-
-def kernel_args(name: str, mesh: Mesh, tables: Mapping) -> KernelArgs:
+def kernel_args(name: str, mesh: Mesh, tables: tuple) -> KernelArgs:
     """Build the argument namespace of one kernel or cost integrand on
     this mesh; its slots are arranged when the term reads them."""
     shape = TERMS[name]
@@ -397,7 +369,7 @@ def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args, lead=
 
 
 def eval_kernel(
-    problem: Problem, kid: str, mesh: Mesh, tables: Mapping, args: KernelArgs = None, lead=()
+    problem: Problem, kid: str, mesh: Mesh, tables: tuple, args: KernelArgs = None, lead=()
 ) -> np.ndarray:
     """Evaluate a kernel on the full consumer x producer grid, shape
     (*lead, *grid_axes, n), or a cost density on its nodes (kid a cost
@@ -410,7 +382,7 @@ def eval_kernel_partial(
     kid: str,
     slot: str,
     mesh: Mesh,
-    tables: Mapping,
+    tables: tuple,
     args: KernelArgs = None,
 ) -> np.ndarray:
     """Evaluate d(term)/d(slot): shape (*grid_axes, *value_axes, slot_dim)."""
@@ -581,9 +553,14 @@ def check_finite(name: str, arr: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: validate_partials' pass threshold, and the (t_max, (x_lo, x_hi)) box its
+#: probe points are drawn from.
+PARTIALS_TOL = 1e-6
+_PROBE_BOX = (1.0, (0.0, 1.0))
+
+
 @dataclass
 class PartialsReport:
-    tol: float
     entries: list  # (name, slot, max_rel_err, ok)
 
     @property
@@ -594,9 +571,9 @@ class PartialsReport:
         return max((err for (_, _, err, _) in self.entries), default=0.0)
 
 
-def _point_args(rng, shape: KernelShape, problem: Problem, box):
+def _point_args(rng, shape: KernelShape, problem: Problem):
     """Random single-point KernelArgs for derivative probing."""
-    t_hi, (x_lo, x_hi) = box
+    t_hi, (x_lo, x_hi) = _PROBE_BOX
     rank = len(shape.full) + 1
     ones = (1,) * rank
     values: dict = {}
@@ -652,18 +629,12 @@ def _probe_one(fn, partial_fn, args: KernelArgs, slot: str, d: int, val_shape):
     return worst
 
 
-def validate_partials(
-    problem: Problem,
-    probes: int = 8,
-    seed: int = 0,
-    tol: float = 1e-6,
-    box=(1.0, (0.0, 1.0)),
-) -> PartialsReport:
+def validate_partials(problem: Problem, probes: int = 8, seed: int = 0) -> PartialsReport:
     """Check every registered kernel and cost partial against central
     finite differences at random probe points.
 
     The report lists the max relative error per (term, slot); it passes
-    iff every entry is at or below tol.
+    iff every entry is at or below PARTIALS_TOL.
     """
     if probes < 1:
         raise ConfigError("probes must be at least 1")
@@ -676,7 +647,7 @@ def validate_partials(
             d = problem.slot_dim(slot)
             worst = 0.0
             for _ in range(probes):
-                args = _point_args(rng, shape, problem, box)
+                args = _point_args(rng, shape, problem)
                 worst = max(worst, _probe_one(term.fn, pfn, args, slot, d, val_shape))
-            entries.append((name, slot, worst, worst <= tol))
-    return PartialsReport(tol=tol, entries=entries)
+            entries.append((name, slot, worst, worst <= PARTIALS_TOL))
+    return PartialsReport(entries)

@@ -128,6 +128,8 @@ def make_params(name: str, **overrides) -> ModelParams:
         if key not in values:
             raise ConfigError(f"model {name!r} has no parameter {key!r}")
         values[key] = float(val)
+        if not np.isfinite(values[key]):
+            raise ConfigError(f"model {name!r} parameter {key!r} must be finite, got {values[key]}")
     return ModelParams(name=name, values=values)
 
 

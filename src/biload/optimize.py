@@ -11,6 +11,7 @@ nothing stronger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ from .kernels import Problem, slot_tables
 from .mesh import Mesh
 from .state import CONTROL_BLOCKS, ControlBundle, derive_slots
 
+#: Trial step below which backtracking gives up (status line_search_failed).
+STEP_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class OptimizeOptions:
@@ -30,15 +34,18 @@ class OptimizeOptions:
     backtrack: float = 0.5
     step0: float = 1.0
     gtol: float = 1e-8
-    step_floor: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.armijo_c < 1.0):
             raise ConfigError("armijo_c must lie in (0, 1)")
         if not (0.0 < self.backtrack < 1.0):
             raise ConfigError("backtrack must lie in (0, 1)")
-        if self.step0 <= 0:
-            raise ConfigError("step0 must be positive")
+        if not (math.isfinite(self.step0) and self.step0 > 0):
+            raise ConfigError(f"step0 must be positive and finite, got {self.step0}")
+        if not (math.isfinite(self.gtol) and self.gtol >= 0):
+            raise ConfigError(f"gtol must be non-negative and finite, got {self.gtol}")
+        if self.max_outer < 0:
+            raise ConfigError(f"max_outer must be non-negative, got {self.max_outer}")
 
 
 @dataclass
@@ -81,18 +88,16 @@ def run_gd(
     controls0: ControlBundle,
     opts: OptimizeOptions = None,
     solver_cfg: SolverConfig = None,
-    costate_cfg: SolverConfig = None,
 ):
     """Gradient descent from controls0; returns (best controls, history).
 
     History rows carry (iteration, J, gradient norm, accepted step,
     forward iterations); J is nonincreasing across accepted iterations.
-    Terminates on gtol, max_outer, or when backtracking underflows the
-    step floor (status line_search_failed).
+    The costate solves use solver_cfg too.  Terminates on gtol, max_outer,
+    or when backtracking underflows STEP_FLOOR (status line_search_failed).
     """
     opts = opts or OptimizeOptions()
     solver_cfg = solver_cfg or SolverConfig()
-    costate_cfg = costate_cfg or solver_cfg
     bounds = problem.bounds
 
     controls = project(controls0.copy(), bounds)
@@ -108,7 +113,7 @@ def run_gd(
     def fresh_gradient():
         cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
         costate, crep = solve_costate(
-            problem, mesh, state, slots, controls, costate_cfg, cache
+            problem, mesh, state, slots, controls, solver_cfg, cache
         )
         if not crep.converged:
             raise DivergenceError("costate solve did not converge")
@@ -126,7 +131,7 @@ def run_gd(
 
         step = opts.step0
         accepted = False
-        while step >= opts.step_floor:
+        while step >= STEP_FLOOR:
             trial = project(_descend(controls, grad, step), bounds)
             try:
                 tstate, trep = solve_forward(problem, mesh, trial, solver_cfg)

@@ -331,10 +331,8 @@ def flat_spans(shapes: tuple) -> tuple:
 def bundle_of(cls: type, flat: np.ndarray, shapes: tuple) -> _Bundle:
     """A bundle of class cls whose blocks are views of flat.  A 2-D flat
     holds one member per row, and every block gains that member axis."""
-    if flat.ndim == 1:
-        return cls(*(flat[a:b].reshape(s) for a, b, s in flat_spans(shapes)), flat=flat)
-    lead = flat.shape[:1]
-    return cls(*(flat[:, a:b].reshape(lead + s) for a, b, s in flat_spans(shapes)), flat=flat)
+    lead = flat.shape[:-1]
+    return cls(*(flat[..., a:b].reshape(lead + s) for a, b, s in flat_spans(shapes)), flat=flat)
 
 
 def stack(bundles: list) -> _Bundle:

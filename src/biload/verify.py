@@ -57,6 +57,11 @@ from .state import (
 _TIGHT = SolverConfig(tol=1e-12, max_iter=2000)
 #: Unknowns above which the dense oracle refuses to assemble its Jacobian.
 DTO_SIZE_CAP = 1500
+#: gradient_check's central-difference step, paired with _TIGHT's tol, and
+#: the relative gaps to it above which a dense-oracle or costate entry fails.
+FD_EPS = 1e-5
+TOL_DTO = 1e-5
+TOL_ADJOINT = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +99,7 @@ def fd_directional(
     controls: ControlBundle,
     block: str,
     direction: np.ndarray,
-    eps: float = 1e-5,
+    eps: float = FD_EPS,
     cfg: SolverConfig = None,
 ) -> float:
     """Central-difference directional derivative of the reduced cost.
@@ -179,7 +184,6 @@ def dto_solve(
     mesh: Mesh,
     controls: ControlBundle,
     cfg: SolverConfig = None,
-    size_cap: int = DTO_SIZE_CAP,
 ) -> DtoResult:
     """Exact gradient of the discrete reduced cost via dense linearization.
 
@@ -190,9 +194,9 @@ def dto_solve(
     values, quadrature weights included).
     """
     idx = flat_index(mesh, problem.n)
-    if idx.total > size_cap:
+    if idx.total > DTO_SIZE_CAP:
         raise ConfigError(
-            f"dense oracle limited to {size_cap} unknowns, grid has {idx.total}"
+            f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {idx.total}"
         )
     solved = solve_forward(problem, mesh, controls, cfg or _TIGHT)
     state = _solved_state(solved, " for the dense oracle")
@@ -358,16 +362,13 @@ class GradCheckEntry:
 class GradCheckReport:
     entries: list = field(default_factory=list)
     seed: int = 0
-    fd_eps: float = 1e-5
-    tol_dto: float = 1e-5
-    tol_adjoint: float = 1e-2
     mesh_level: tuple = (0, 0)  # (Nt, Nx)
     costate: CoStateBundle = None  # the solved costate the adjoint column used
     grad: ControlGradient = None  # and its control gradient
 
-    def _fails(self, e: GradCheckEntry) -> bool:
-        dto_bad = e.err_dto is not None and e.err_dto > self.tol_dto
-        return dto_bad or e.err_adjoint > self.tol_adjoint
+    @staticmethod
+    def _fails(e: GradCheckEntry) -> bool:
+        return (e.err_dto is not None and e.err_dto > TOL_DTO) or e.err_adjoint > TOL_ADJOINT
 
     @property
     def passed(self) -> bool:
@@ -385,9 +386,6 @@ def gradient_check(
     seed: int = 0,
     cfg: SolverConfig = None,
     costate_cfg: SolverConfig = None,
-    fd_eps: float = 1e-5,
-    tol_dto: float = 1e-5,
-    tol_adjoint: float = 1e-2,
     use_dto: bool = None,
     blocks=None,
 ) -> GradCheckReport:
@@ -401,8 +399,6 @@ def gradient_check(
         raise ConfigError("n_dirs must be at least 1")
     if blocks is not None and not blocks:
         raise ConfigError("blocks must name at least one control block")
-    if not (math.isfinite(fd_eps) and fd_eps > 0):
-        raise ConfigError(f"fd_eps must be positive and finite, got {fd_eps}")
     cfg = cfg or _TIGHT
     costate_cfg = costate_cfg or cfg
     if use_dto is None:
@@ -424,24 +420,17 @@ def gradient_check(
 
     if blocks is None:
         blocks = [b for b in CONTROL_BLOCKS if problem.slot_dim(b) > 0]
-    report = GradCheckReport(
-        seed=seed,
-        fd_eps=fd_eps,
-        tol_dto=tol_dto,
-        tol_adjoint=tol_adjoint,
-        mesh_level=(mesh.Nt, mesh.Nx),
-        costate=costate,
-        grad=grad,
-    )
+    report = GradCheckReport(seed=seed, mesh_level=(mesh.Nt, mesh.Nx), costate=costate, grad=grad)
     rng = np.random.default_rng(seed)
     dirs = [(block, k, smooth_direction(mesh, block, problem.slot_dim(block), rng))
             for block in blocks for k in range(n_dirs)]
-    # the central differences of every direction, solved as one batch
-    members = [_perturbed(controls, b, d, s) for b, _, d in dirs for s in (fd_eps, -fd_eps)]
+    # the central differences of every direction, solved as one batch; the
+    # costs follow the members in order, so the first failing member raises
+    members = [_perturbed(controls, b, d, s) for b, _, d in dirs for s in (FD_EPS, -FD_EPS)]
     solved = solve_forward_many(problem, mesh, members, cfg)
     costs = [_fd_cost(problem, mesh, c, pair) for c, pair in zip(members, solved)]
     for (block, k, direction), j_up, j_dn in zip(dirs, costs[::2], costs[1::2]):
-        fd = (j_up - j_dn) / (2.0 * fd_eps)
+        fd = (j_up - j_dn) / (2.0 * FD_EPS)
         adj = block_pairing(mesh, block, grad.block(block), direction)
         dto_val = None if dto is None else float(np.sum(dto.grad.block(block) * direction))
         err_dto = None if dto is None else _rel_gap(dto_val, fd)
@@ -495,14 +484,12 @@ def forward_sup_error(problem, mesh, controls, reference, cfg) -> float:
     return float(np.max(diff))
 
 
-def gradient_gap(
-    problem, mesh, controls, block="u", seed=0, fd_eps=1e-5, cfg=None, costate_cfg=None
-) -> float:
+def gradient_gap(problem, mesh, controls, block="u", seed=0, cfg=None, costate_cfg=None) -> float:
     """Relative gap between the costate-gradient pairing and the central
     difference, for one seeded smooth direction."""
     report = gradient_check(
         problem, mesh, controls, n_dirs=1, seed=seed, cfg=cfg,
-        costate_cfg=costate_cfg, fd_eps=fd_eps, use_dto=False, blocks=[block],
+        costate_cfg=costate_cfg, use_dto=False, blocks=[block],
     )
     return report.entries[0].err_adjoint
 
@@ -525,7 +512,6 @@ def refinement_study(
     reference=None,
     block: str = "u",
     seed: int = 0,
-    fd_eps: float = 1e-5,
     cfg: SolverConfig = None,
     costate_cfg: SolverConfig = None,
 ) -> RefinementTable:
@@ -562,9 +548,7 @@ def refinement_study(
                     problem, m, ctrl, reference, lvl_cfg or _TIGHT
                 )
             else:
-                value = gradient_gap(
-                    problem, m, ctrl, block, seed, fd_eps, lvl_cfg, lvl_costate_cfg
-                )
+                value = gradient_gap(problem, m, ctrl, block, seed, lvl_cfg, lvl_costate_cfg)
         order = None if prev is None else math.log2(max(prev, 1e-300) / max(value, 1e-300))
         table.rows.append(
             RefinementRow(level=level, Nt=m.Nt, Nx=m.Nx, value=value, order=order)

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from biload.cli import build_controls, main, parse_config
 from biload.errors import ConfigError
 from biload.mesh import build_mesh
-from biload.models import make_model
+from biload.models import make_model, make_params
 
 MINIMAL = """\
 [mesh]
@@ -175,8 +177,6 @@ def test_refine_command(tmp_path):
 
 
 def test_sample_configs_parse_and_run(tmp_path):
-    from pathlib import Path
-
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name in ("volterra.cfg", "heat.cfg", "biload.cfg"):
         spec = parse_config((configs / name).read_text(encoding="utf-8"))
@@ -199,6 +199,18 @@ def test_config_error_exit_code(tmp_path, capsys):
         out = tmp_path / "bad_solver"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "[solver]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_non_finite_model_parameter_is_a_config_error(tmp_path, capsys):
+    heat = (Path(__file__).resolve().parents[1] / "configs" / "heat.cfg").read_text()
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=f"model 'heat' parameter 'K' must be finite, got {value}"):
+            make_params("heat", K=float(value))
+        cfg = _write_cfg(tmp_path, heat.replace("K = 1.0", f"K = {value}"))
+        out = tmp_path / "bad_model"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "model 'heat' parameter 'K' must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -117,7 +117,7 @@ PROBLEM = Problem(n=N_DIM, m_u=M_U, m_w=M_W, kernels=KERNELS)
 
 
 def _slot_value(fam, slot, tk, sp):
-    arr = TABLES[fam][slot]
+    arr = next(getattr(src, slot) for src in (STATE, SLOTS, CONTROLS) if hasattr(src, slot))
     if fam in ("S", "S_bd"):
         return arr[tk, sp]
     return arr[sp]

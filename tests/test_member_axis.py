@@ -2,9 +2,9 @@
 they replace.
 
 `per_member` below is the oracle of `forward.solve_forward_many`: one
-`solve_forward` per member, in order.  The batch must agree with it bit for
-bit, reports and error messages included, because benchmark failure counts
-follow the floating-point bits.  The dense oracle's batched columns are held
+`solve_forward` per member, in order, the order in which the batch yields
+them.  The batch must agree with it bit for bit, reports and error messages
+included, because benchmark failure counts follow the floating-point bits.  The dense oracle's batched columns are held
 to the column-by-column loop `dto_solve` ran before, written out here."""
 
 import numpy as np
@@ -47,7 +47,7 @@ def batched(monkeypatch, problem, mesh, controls_list, cfg):
 
     with monkeypatch.context() as patch:
         patch.setattr(forward, "solve_forward", no_fallback)
-        return forward.solve_forward_many(problem, mesh, controls_list, cfg)
+        return list(forward.solve_forward_many(problem, mesh, controls_list, cfg))
 
 
 def _members(name, amplitudes=AMPLITUDES):
@@ -149,7 +149,7 @@ def test_a_member_leaving_the_guard_raises_as_alone(monkeypatch):
     cfg = SolverConfig(tol=1e-12)
     old = _error(lambda: per_member(problem, MESH, members, cfg))
     assert old == "DivergenceError: iteration diverged: block phi0 exceeded guard 1e+08"
-    assert _error(lambda: forward.solve_forward_many(problem, MESH, members, cfg)) == old
+    assert _error(lambda: list(forward.solve_forward_many(problem, MESH, members, cfg))) == old
     # without the failing members the rest still solve bit for bit
     keep = [members[0], members[3]]
     _assert_same(batched(monkeypatch, problem, MESH, keep, cfg), per_member(problem, MESH, keep, cfg))
@@ -162,7 +162,22 @@ def test_a_member_planting_a_nan_raises_as_alone():
     cfg = SolverConfig(tol=1e-12)
     old = _error(lambda: per_member(problem, MESH, members, cfg))
     assert old == "KernelEvalError: kernel f0 produced a non-finite value at grid index (3, 0, 0)"
-    assert _error(lambda: forward.solve_forward_many(problem, MESH, members, cfg)) == old
+    assert _error(lambda: list(forward.solve_forward_many(problem, MESH, members, cfg))) == old
+
+
+def test_an_earlier_non_convergence_is_reported_before_a_later_raise():
+    problem = _loading_problem(fn0=lambda a: np.where(a.u > 5.0, np.nan, a.u) + 0.0 * a.t)
+    # member 0 stops at max_iter, member 1 plants a NaN on its first sweep
+    members = _constant_members(problem, [(0.1, 0.2), (6.0, 0.0), (0.2, 0.1)])
+    cfg = SolverConfig(tol=1e-12, max_iter=3)
+
+    def costs(solved):  # as gradient_check takes them
+        return [verify._fd_cost(problem, MESH, c, pair) for c, pair in zip(members, solved)]
+
+    loop = (per_member(problem, MESH, [c], cfg)[0] for c in members)
+    old = _error(lambda: costs(loop))
+    assert old.startswith("DivergenceError: forward solve did not converge (residual ")
+    assert _error(lambda: costs(forward.solve_forward_many(problem, MESH, members, cfg))) == old
 
 
 def test_non_finite_fd_steps_are_refused():
@@ -171,8 +186,6 @@ def test_non_finite_fd_steps_are_refused():
     for eps in (np.nan, np.inf, 0.0, -1e-5):
         with pytest.raises(ConfigError, match="eps must be positive and finite"):
             verify.fd_directional(problem, MESH, controls, "u", d, eps)
-        with pytest.raises(ConfigError, match="fd_eps must be positive and finite"):
-            verify.gradient_check(problem, MESH, controls, fd_eps=eps)
 
 
 def test_an_empty_block_list_is_refused():

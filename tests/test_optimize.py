@@ -148,3 +148,11 @@ def test_options_validation():
         OptimizeOptions(backtrack=1.0)
     with pytest.raises(ConfigError):
         OptimizeOptions(step0=-1.0)
+    # a NaN or infinite first step, a NaN, infinite or negative gtol and a
+    # negative max_outer are refused too, before any solve
+    bad = [{"step0": v} for v in (np.nan, np.inf)]
+    bad += [{"gtol": v} for v in (np.nan, np.inf, -1e-8)]
+    bad += [{"max_outer": -3}]
+    for kwargs in bad:
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            OptimizeOptions(**kwargs)

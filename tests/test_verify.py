@@ -94,8 +94,8 @@ def test_dto_matches_fd(name):
 def test_dto_size_cap():
     prob = make_model(make_params("lq_volterra"))
     mesh = build_mesh(1.0, 40, 0.0, 1.0, 40)
-    with pytest.raises(ConfigError):
-        dto_solve(prob, mesh, zero_controls(mesh, 1, 0), size_cap=100)
+    with pytest.raises(ConfigError, match="limited to 1500 unknowns, grid has 1849"):
+        dto_solve(prob, mesh, zero_controls(mesh, 1, 0))
 
 
 def test_linearized_sweep_matches_fd_of_sweep_map():
