@@ -46,7 +46,6 @@ from .kernels import (
     eval_kernel,
     eval_kernel_partial,
     kernel_args,
-    slot_tables,
     term_label,
     transpose_contract,
 )
@@ -95,8 +94,7 @@ def _partial_spans(problem: Problem, mesh: Mesh) -> tuple:
 
 def partial_cache(problem: Problem, mesh: Mesh, tables) -> dict:
     """Kernel and cost partial arrays at a fixed state snapshot, keyed by
-    (term name, slot).  The costate solver reuses this across sweeps; the
-    dense-oracle assembly reuses it per column."""
+    (term name, slot).  The costate solver reuses this across sweeps."""
     cache = {}
     for name, term in problem.terms.items():
         args = kernel_args(name, mesh, tables)
@@ -127,7 +125,7 @@ def assemble_h_partials(
     integrands and zero costates everything vanishes.
     """
     if cache is None:
-        cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
+        cache = partial_cache(problem, mesh, (state, slots, controls))
     out = _zero_partials(problem, mesh)
     # the cache is in term order, kernels first, which fixes the order of the sums
     for (name, slot), P in cache.items():
@@ -208,7 +206,7 @@ def solve_costate(
     (converged) state snapshot.  Starts from zero costates.  cache, when
     given, is the partial_cache of this snapshot."""
     if cache is None:
-        cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
+        cache = partial_cache(problem, mesh, (state, slots, controls))
     produced = {slot for _, slot in cache}
     return fixed_point(
         lambda co: apply_theta(
@@ -275,7 +273,7 @@ def hamiltonian_report(
     grid, the boundary strip, the initial slice, and the initial boundary
     pair respectively.  Purely for inspection and plotting.
     """
-    tables = slot_tables(state, slots, controls)
+    tables = (state, slots, controls)
     fields = {L.eq: np.zeros(L.nodes(mesh)) for L in LAYOUTS}
     for name in problem.terms:
         shape = TERMS[name]

@@ -197,9 +197,12 @@ def parse_config(text: str) -> RunSpec:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [controls]")
         try:
             controls[key] = ("const", float(value))
-            continue
         except ValueError:
             pass
+        else:
+            if not np.isfinite(controls[key][1]):
+                raise ConfigError(f"line {lineno}: control {key} must be finite, got {value!r}")
+            continue
         if value not in _PROFILES:
             raise ConfigError(
                 f"line {lineno}: control init must be a number or one of "
@@ -489,6 +492,8 @@ def run(spec: RunSpec, subcommand: str, out_dir: str = None, seed: int = 0) -> i
     """Execute one subcommand; returns the process exit status."""
     if subcommand not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     outdir = Path(out_dir if out_dir is not None else spec.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[subcommand](spec, outdir, seed)

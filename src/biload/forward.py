@@ -25,7 +25,9 @@ the one that left the guard.
 carry the member axis in front (stencils count axes from the end, einsums
 take it as "...").  Each member has its own residual, relaxation and
 history, and leaves the active set once it converges; its bits are those
-of its own `solve_forward`, which passes no member axis.
+of its own `solve_forward`, which passes no member axis.  `sweep_map` and
+`eval_cost` keep the dtype of their inputs, so the dense oracle runs them
+on complex members (`verify.dto_solve`).
 
 Starting from the zero bundle, the iteration is deterministic: identical
 inputs give bitwise-identical results.
@@ -46,7 +48,6 @@ from .kernels import (
     check_finite,
     eval_kernel,
     forward_contract,
-    slot_tables,
 )
 from .mesh import LEFT, RIGHT, Mesh
 from .state import (
@@ -94,13 +95,13 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
 
-def assemble_sweep(mesh: Mesh, n: int, contributions, lead: tuple = ()) -> StateBundle:
+def assemble_sweep(mesh: Mesh, n: int, contributions, lead: tuple = (), dtype=float) -> StateBundle:
     """Sum (equation family, consumer-node array) contributions into one
     block per family, overwrite the trajectory's wall columns with the
     boundary-trace block, and bundle the result.  The blocks are views of
-    the bundle's flat vector, with the member axes lead in front."""
+    the bundle's flat vector of dtype, with the member axes lead in front."""
     shapes = block_shapes(mesh.Nt, mesh.Nx, (n,) * len(LAYOUTS))
-    image = bundle_of(StateBundle, np.zeros(lead + (sum(map(math.prod, shapes)),)), shapes)
+    image = bundle_of(StateBundle, np.zeros(lead + (sum(map(math.prod, shapes)),), dtype), shapes)
     acc = dict(zip((L.eq for L in LAYOUTS), image.blocks()))
     for eq, value in contributions:
         acc[eq] += value
@@ -127,12 +128,20 @@ def sweep_map(
 ) -> StateBundle:
     """One full evaluation of the right-hand sides from a state snapshot,
     with the trajectory's wall columns overwritten by the trace block.
-    State and controls may carry the same leading member axis."""
+    State and controls may carry leading member axes; the image carries
+    their broadcast, and the dtype of both (complex members give a complex
+    image)."""
     if slots is None:
         slots = derive_slots(mesh, state)
-    tables = slot_tables(state, slots, controls)
-    lead = state.phi.shape[:-3]
-    return assemble_sweep(mesh, problem.n, _kernel_terms(problem, mesh, tables, lead), lead)
+    lead = _member_axes(state, controls)
+    terms = _kernel_terms(problem, mesh, (state, slots, controls), lead)
+    return assemble_sweep(mesh, problem.n, terms, lead, np.result_type(state.phi, controls.u))
+
+
+def _member_axes(state: StateBundle, controls: ControlBundle) -> tuple:
+    """The broadcast of the leading member axes of state and controls."""
+    lead, other = state.phi.shape[:-3], controls.u.shape[:-3]
+    return lead if lead == other else np.broadcast_shapes(lead, other)
 
 
 def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):
@@ -204,10 +213,11 @@ def solve_forward(
 BATCH_BYTES = 1 << 18
 
 
-def member_chunks(problem: Problem, mesh: Mesh, count: int) -> list:
-    """Ranges splitting count members into chunks within BATCH_BYTES."""
+def member_chunks(problem: Problem, mesh: Mesh, count: int, itemsize: int = 8) -> list:
+    """Ranges splitting count members into chunks within BATCH_BYTES, for
+    term arrays of itemsize bytes per value (16 for complex members)."""
     sizes = [math.prod(node_shape(TERMS[k].full, mesh.Nt, mesh.Nx)) for k in problem.kernels]
-    size = max(1, BATCH_BYTES // (8 * problem.n * max(sizes, default=1)))
+    size = max(1, BATCH_BYTES // (itemsize * problem.n * max(sizes, default=1)))
     return [range(a, min(a + size, count)) for a in range(0, count, size)]
 
 
@@ -236,11 +246,13 @@ def eval_cost(
     slots: DerivedSlots,
     controls: ControlBundle,
 ) -> float:
-    """Quadrature evaluation of the cost functional at a state snapshot."""
-    tables = slot_tables(state, slots, controls)
+    """Quadrature evaluation of the cost functional at a state snapshot.
+    With member axes on state or controls, one value per member of their
+    broadcast, as an array."""
+    tables, lead = (state, slots, controls), _member_axes(state, controls)
     J = 0.0
     for name, _term in problem.cost_terms():
-        dens = eval_kernel(problem, name, mesh, tables)
+        dens = eval_kernel(problem, name, mesh, tables, lead=lead)
         check_finite(f"cost {name}", dens)
         J += LAYOUT[TERMS[name].eq].quad(mesh, dens)
     return J

@@ -52,8 +52,6 @@ from .mesh import Mesh
 from .state import (
     CONTROL_BLOCKS,
     LAYOUT,
-    ControlBundle,
-    DerivedSlots,
     StateBundle,
     node_shape,
 )
@@ -74,7 +72,8 @@ SLOT_FAMILIES: Mapping[str, tuple] = {
 SLOT_FAMILY_OF = {
     slot: fam for fam, slots in SLOT_FAMILIES.items() for slot in slots
 }
-#: Which of slot_tables' (state, slots, controls) holds each slot array.
+#: Which of a term's (state, slots, controls) tables holds each slot array;
+#: a slot is read (and derived) from its source only when a term reads it.
 _SLOT_SOURCE = {
     slot: 0 if slot in StateBundle.names else 2 if slot in CONTROL_BLOCKS else 1
     for slot in SLOT_FAMILY_OF
@@ -154,10 +153,10 @@ class KernelShape:
             object.__setattr__(self, name, value)
 
     def arrange(self, slot: str, tables: tuple) -> np.ndarray:
-        """A slot's natural-layout array from tables (see slot_tables),
-        moved so its axes land at their letter positions within the full
-        axes, singleton elsewhere, component axis last.  Leading member
-        axes stay in front."""
+        """A slot's natural-layout array from tables, its (state, slots,
+        controls) sources, moved so its axes land at their letter positions
+        within the full axes, singleton elsewhere, component axis last.
+        Leading member axes stay in front."""
         arr = getattr(tables[_SLOT_SOURCE[slot]], slot)
         perm, target = _arrangement(self.layouts[SLOT_FAMILY_OF[slot]], arr.shape)
         return arr.transpose(perm).reshape(target)
@@ -248,12 +247,6 @@ class KernelArgs:
         )
 
 
-def slot_tables(state: StateBundle, slots: DerivedSlots, controls: ControlBundle) -> tuple:
-    """The sources of the slot arrays, (state, slots, controls): each slot
-    is read (and derived) from its source only when a term reads it."""
-    return state, slots, controls
-
-
 def kernel_args(name: str, mesh: Mesh, tables: tuple) -> KernelArgs:
     """Build the argument namespace of one kernel or cost integrand on
     this mesh; its slots are arranged when the term reads them."""
@@ -340,6 +333,11 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 
+#: The dtype of complex-step members (see verify.dto_solve); an identity test
+#: against it is the cheapest check on the per-kernel path.
+_COMPLEX = np.dtype(complex)
+
+
 def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args, lead=()):
     """The value (slot None) or one slot partial of a term on its full
     grid: shape (*lead member axes, *grid_axes, *value_axes[, slot_dim])."""
@@ -353,7 +351,8 @@ def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args, lead=
     else:
         raw = term.partials[slot](args)
         dims += (problem.slot_dim(slot),)
-    raw = np.asarray(raw, dtype=float)
+    if getattr(raw, "dtype", None) is not _COMPLEX:  # the dense oracle's members stay complex
+        raw = np.asarray(raw, dtype=float)
     target = lead + node_shape(shape.full, mesh.Nt, mesh.Nx) + dims
     if raw.shape == target:
         view = raw.view()

@@ -19,7 +19,7 @@ import numpy as np
 from .adjoint import control_gradient, gradient_norm2, partial_cache, solve_costate
 from .errors import ConfigError, DivergenceError
 from .forward import SolverConfig, eval_cost, solve_forward
-from .kernels import Problem, slot_tables
+from .kernels import Problem
 from .mesh import Mesh
 from .state import CONTROL_BLOCKS, ControlBundle, derive_slots
 
@@ -111,7 +111,7 @@ def run_gd(
     best_controls, best_J = controls.copy(), J
 
     def fresh_gradient():
-        cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
+        cache = partial_cache(problem, mesh, (state, slots, controls))
         costate, crep = solve_costate(
             problem, mesh, state, slots, controls, solver_cfg, cache
         )

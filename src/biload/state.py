@@ -82,7 +82,7 @@ class Layout:
         "i,j,ij->" for a grid density and "i,j,ijm,ijm->" for a grid
         pairing with comp="m".  The wall pairs have no weighted axis and
         are a plain sum.  Operands with leading member axes give one value
-        per member, as an array.
+        per member, as an array.  Complex operands give complex values.
         """
         weights = {"i": mesh.wt, "j": mesh.wx}
         weighted = [c for c in self.letters if c in weights]
@@ -92,7 +92,7 @@ class Layout:
         else:
             subs = ",".join(weighted + ["..." + self.letters + comp] * len(operands))
             out = np.einsum(subs + "->...", *(weights[c] for c in weighted), *operands)
-        return float(out) if out.ndim == 0 else out
+        return out.item() if out.ndim == 0 else out
 
 
 def axis_sizes(Nt: int, Nx: int) -> dict:

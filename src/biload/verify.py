@@ -3,10 +3,14 @@
 Two oracles cross-validate the adjoint machinery.  The finite-difference
 oracle differentiates the whole pipeline (forward solve plus cost) with
 central differences.  The dense discrete oracle linearizes the actual
-discrete sweep map around the converged state, solves the transposed
-linear system for the multipliers, and returns the exact gradient of the
-discrete cost, up to linear-solve roundoff.  The two must agree tightly;
-the costate-based gradient converges to them under mesh refinement.
+discrete sweep map and cost around the converged state by complex step,
+running `sweep_map` and `eval_cost` themselves at complex members, so no
+hand-written partial enters it (the kernel bodies must be complex-analytic
+in the slot values).  It solves the transposed linear system for the
+multipliers and returns the exact gradient of the discrete cost, up to
+linear-solve roundoff.  The two must agree tightly; the costate-based
+gradient, built from the hand partials, converges to them under mesh
+refinement.
 
 Also here: the two integration-by-parts residuals for running-derivative
 cost terms, the closed-curve pairing that certifies the discrete
@@ -31,13 +35,13 @@ from .adjoint import (
 from .errors import ConfigError, DivergenceError, SingularSystemError
 from .forward import (
     SolverConfig,
-    assemble_sweep,
     eval_cost,
     member_chunks,
     solve_forward,
     solve_forward_many,
+    sweep_map,
 )
-from .kernels import TERMS, Problem, forward_contract, slot_tables
+from .kernels import Problem
 from .mesh import CurveMesh, Mesh, StencilKind, apply_stencil, curve_diff
 from .state import (
     CONTROL_BLOCKS,
@@ -49,9 +53,9 @@ from .state import (
     control_index,
     derive_slots,
     flat_index,
+    pack,
     unpack,
     zero_controls,
-    zero_state,
 )
 
 _TIGHT = SolverConfig(tol=1e-12, max_iter=2000)
@@ -125,49 +129,27 @@ def fd_directional(
 # ---------------------------------------------------------------------------
 
 
-def _linearized_terms(problem, mesh, cache, dtables):
-    """Differential of the right-hand-side accumulation: kernel partials
-    at the base state contracted with perturbed slot fields."""
-    for kid, kernel in problem.kernels.items():
-        shape = TERMS[kid]
-        dF = None
-        for slot in kernel.partials:
-            darr = shape.arrange(slot, dtables)
-            term = np.einsum("...nd,...d->...n", cache[(kid, slot)], darr)
-            dF = term if dF is None else dF + term
-        if dF is not None:
-            yield shape.eq, forward_contract(mesh, kid, dF)
+#: The imaginary step of the dense oracle's complex-step columns: a power of
+#: two, so scaling by it is exact, and far below the point where a
+#: second-order term reaches the imaginary part.
+CS_STEP = 2.0**-100
 
 
-def _linearized_sweep(problem, mesh, cache, dstate, dcontrols, lead=()):
-    dslots = derive_slots(mesh, dstate)
-    dtables = slot_tables(dstate, dslots, dcontrols)
-    terms = _linearized_terms(problem, mesh, cache, dtables)
-    return assemble_sweep(mesh, problem.n, terms, lead), dtables
-
-
-def _linearized_cost(problem, mesh, cache, dtables):
-    dJ = 0.0
-    for name, term in problem.cost_terms():
-        shape = TERMS[name]
-        for slot in term.partials:
-            darr = shape.arrange(slot, dtables)
-            dJ += LAYOUT[shape.eq].quad(mesh, cache[(name, slot)], darr, comp="d")
-    return dJ
-
-
-def _linearized_columns(problem, mesh, cache, index, at):
-    """Image (a row per column) and cost differential of the linearized
-    sweep at every unit vector of index's flat space, batched per member
-    chunk; at(unit) gives (dstate, dcontrols) for a bundle of them."""
+def _linearized_columns(problem, mesh, index, base, at):
+    """Image (a row per column) and cost differential of the sweep at every
+    unit vector of index's flat space, batched per member chunk, by complex
+    step: sweep_map and eval_cost run at the members base + i*CS_STEP*unit,
+    and at(members) gives the (state, controls) to run them at."""
     images, costs = [], []
-    for rows in member_chunks(problem, mesh, index.total):
-        unit = np.zeros((len(rows), index.total))
-        unit[range(len(rows)), rows] = 1.0
-        unit = bundle_of(index.bundle, unit, index.shapes)
-        image, dtables = _linearized_sweep(problem, mesh, cache, *at(unit), (len(rows),))
-        images.append(image.flat)
-        costs.append(np.broadcast_to(_linearized_cost(problem, mesh, cache, dtables), len(rows)))
+    for rows in member_chunks(problem, mesh, index.total, itemsize=16):
+        flat = np.zeros((len(rows), index.total), complex)
+        flat.real = base
+        flat.imag[range(len(rows)), rows] = CS_STEP
+        state, controls = at(bundle_of(index.bundle, flat, index.shapes))
+        slots = derive_slots(mesh, state)
+        images.append(sweep_map(problem, mesh, state, controls, slots).flat.imag / CS_STEP)
+        cost = eval_cost(problem, mesh, state, slots, controls)
+        costs.append(np.broadcast_to(np.imag(cost) / CS_STEP, len(rows)))
     return np.concatenate(images), np.concatenate(costs)
 
 
@@ -176,7 +158,6 @@ class DtoResult:
     grad: ControlGradient
     multipliers: CoStateBundle
     state: StateBundle
-    cache: dict = field(repr=False)  # partial_cache at state
 
 
 def dto_solve(
@@ -187,11 +168,14 @@ def dto_solve(
 ) -> DtoResult:
     """Exact gradient of the discrete reduced cost via dense linearization.
 
-    Builds the Jacobian of the fixed-point defect column by column with
-    the linearized sweep, solves the transposed system for the
-    multipliers, and maps the result back to control-block shape (nodal
-    convention: entries are plain partials with respect to nodal control
-    values, quadrature weights included).
+    Builds the Jacobian of the fixed-point defect column by column, each
+    column the complex-step derivative of the sweep itself along one
+    unknown (state columns keep the controls real, control columns the
+    state), solves the transposed system for the multipliers, and maps the
+    result back to control-block shape (nodal convention: entries are plain
+    partials with respect to nodal control values, quadrature weights
+    included).  The kernel bodies must be complex-analytic in the slot
+    values, as every builtin is; the hand-written partials play no part.
     """
     idx = flat_index(mesh, problem.n)
     if idx.total > DTO_SIZE_CAP:
@@ -200,16 +184,11 @@ def dto_solve(
         )
     solved = solve_forward(problem, mesh, controls, cfg or _TIGHT)
     state = _solved_state(solved, " for the dense oracle")
-    slots = derive_slots(mesh, state)
-    tables = slot_tables(state, slots, controls)
-    cache = partial_cache(problem, mesh, tables)
 
     cidx = control_index(mesh, problem.m_u, problem.m_w)
-    zctrl = zero_controls(mesh, problem.m_u, problem.m_w)
-    images, dJdPhi = _linearized_columns(problem, mesh, cache, idx, lambda d: (d, zctrl))
+    images, dJdPhi = _linearized_columns(problem, mesh, idx, pack(state), lambda s: (s, controls))
     A = np.ascontiguousarray(images.T) - np.eye(idx.total)
-    zst = zero_state(mesh, problem.n)
-    images, dJdU = _linearized_columns(problem, mesh, cache, cidx, lambda d: (zst, d))
+    images, dJdU = _linearized_columns(problem, mesh, cidx, pack(controls), lambda c: (state, c))
     B = np.ascontiguousarray(images.T)
 
     try:
@@ -223,7 +202,6 @@ def dto_solve(
         grad=ControlGradient(*unpack(cidx, grad_flat).blocks()),
         multipliers=CoStateBundle(*unpack(idx, lam).blocks()),
         state=state,
-        cache=cache,
     )
 
 
@@ -409,8 +387,7 @@ def gradient_check(
     else:
         state = _solved_state(solve_forward(problem, mesh, controls, cfg), " for gradient check")
     slots = derive_slots(mesh, state)
-    # the dense oracle's cache is that of the same snapshot
-    cache = dto.cache if dto else partial_cache(problem, mesh, slot_tables(state, slots, controls))
+    cache = partial_cache(problem, mesh, (state, slots, controls))
     costate, crep = solve_costate(
         problem, mesh, state, slots, controls, costate_cfg, cache
     )

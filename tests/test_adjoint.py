@@ -10,7 +10,7 @@ from biload.adjoint import (
     solve_costate,
 )
 from biload.forward import SolverConfig, solve_forward
-from biload.kernels import CostTerm, Kernel, Problem, kernel_args, slot_tables
+from biload.kernels import CostTerm, Kernel, Problem, kernel_args
 from biload.mesh import build_mesh
 from biload.models import make_model, make_params
 from biload.state import (
@@ -167,7 +167,7 @@ def test_running_model_phi_partial_structure():
     co = zero_costate(mesh, 1)
     co.psi[:] = rng.standard_normal(co.psi.shape)
     AH = assemble_h_partials(prob, mesh, state, slots, ctrl, co)
-    args = kernel_args("F1", mesh, slot_tables(state, slots, ctrl))
+    args = kernel_args("F1", mesh, (state, slots, ctrl))
     cost_part = prob.cost_F1.partials["phi"](args)
     U = mesh.volterra_upper
     expected = np.einsum("ik,ijn->kjn", U, co.psi) + cost_part

@@ -214,6 +214,26 @@ def test_non_finite_model_parameter_is_a_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "volterra.cfg"
+    out = tmp_path / "negative_seed"
+    assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_control_value_is_a_config_error(tmp_path, capsys):
+    heat = (Path(__file__).resolve().parents[1] / "configs" / "heat.cfg").read_text()
+    for value in ("nan", "inf", "-inf"):
+        text = heat + f"\n[controls]\nu = {value}\n"
+        lineno = text.splitlines().index(f"u = {value}") + 1
+        out = tmp_path / "bad_control"
+        assert main(["solve", "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {lineno}: control u must be finite, got '{value}'" in err
+        assert not out.exists()
+
+
 def test_runs_are_byte_identical(tmp_path):
     cfg = _write_cfg(
         tmp_path, MINIMAL.replace("volterra_exp", "biload_demo") + "\n[controls]\nu = sin_t\n"

@@ -1,0 +1,141 @@
+"""The dense oracle's complex-step columns against the hand linearization.
+
+`verify._linearized_columns` evaluates `sweep_map` and `eval_cost` at complex
+members base + i*h*e_k and reads the derivative off the imaginary part.  The
+hand linearization (`linearized.hand_columns`, from the registered partials)
+is its oracle: bit for bit on the builtins whose kernel bodies round as their
+partials do (`linearized.EXACT`), and to 1e-14 relative on the others and on
+the full-table problem.  Batched columns must keep
+the bits of one complex sweep per column, as the real member axis keeps those
+of one solve per member.
+"""
+
+import numpy as np
+import pytest
+
+from biload import forward, models, verify
+from biload.forward import SolverConfig, eval_cost, solve_forward, sweep_map
+from biload.kernels import Kernel, Problem, validate_partials
+from biload.mesh import build_mesh
+from biload.state import (
+    CONTROL_BLOCKS,
+    bundle_of,
+    control_index,
+    derive_slots,
+    flat_index,
+    pack,
+    zero_controls,
+)
+from linearized import assert_agree, hand_columns, hand_dto
+from test_full_table import MESH as FULL_MESH
+from test_full_table import _full_problem
+
+MESH = build_mesh(0.05, 6, 0.0, 1.0, 6)
+
+
+def _solved(name):
+    """(problem, mesh, state, controls, cfg): a builtin at smooth nonzero
+    controls, or the full-table problem at zero controls, and its solution."""
+    if name == "full_table":
+        problem, mesh = _full_problem(), FULL_MESH
+        controls = zero_controls(mesh, problem.m_u, problem.m_w)
+        cfg = SolverConfig(tol=1e-12)
+    else:
+        params = models.make_params(name)
+        problem, mesh = models.make_model(params), MESH
+        controls = zero_controls(mesh, problem.m_u, problem.m_w)
+        rng = np.random.default_rng(0)
+        for block in CONTROL_BLOCKS:
+            m = problem.slot_dim(block)
+            if m:
+                getattr(controls, block)[...] = 0.1 * verify.smooth_direction(mesh, block, m, rng)
+        relax = models.picard_relax_hint(params, mesh)
+        cfg = SolverConfig(tol=1e-12, relax=relax, max_iter=4000)
+    state, report = solve_forward(problem, mesh, controls, cfg)
+    assert report.converged
+    return problem, mesh, state, controls, cfg
+
+
+def _columns(problem, mesh, state, controls):
+    """verify._linearized_columns at the state, then at the controls."""
+    idx = flat_index(mesh, problem.n)
+    cidx = control_index(mesh, problem.m_u, problem.m_w)
+    return [
+        *verify._linearized_columns(problem, mesh, idx, pack(state), lambda s: (s, controls)),
+        *verify._linearized_columns(problem, mesh, cidx, pack(controls), lambda c: (state, c)),
+    ]
+
+
+@pytest.mark.parametrize("name", [*models.MODEL_NAMES, "full_table"])
+def test_complex_step_columns_match_the_hand_linearization(name):
+    problem, mesh, state, controls, cfg = _solved(name)
+    for new, old in zip(_columns(problem, mesh, state, controls),
+                        hand_columns(problem, mesh, state, controls)):
+        assert new.shape == old.shape
+        assert_agree(name, new, old)
+    dto = verify.dto_solve(problem, mesh, controls, cfg)
+    assert pack(dto.state).tobytes() == pack(state).tobytes()
+    grad = np.concatenate([dto.grad.block(b).ravel() for b in CONTROL_BLOCKS])
+    for new, old in zip((grad, pack(dto.multipliers)), hand_dto(problem, mesh, state, controls)):
+        assert_agree(name, new, old)
+
+
+def _per_column(problem, mesh, index, base, at):
+    """One unbatched complex sweep and cost per unit vector of index."""
+    h = verify.CS_STEP
+    images, costs = [], []
+    for k in range(index.total):
+        flat = base.astype(complex)
+        flat.imag[k] = h
+        st, ct = at(bundle_of(index.bundle, flat, index.shapes))
+        slots = derive_slots(mesh, st)
+        images.append(sweep_map(problem, mesh, st, ct, slots).flat.imag / h)
+        costs.append(np.imag(eval_cost(problem, mesh, st, slots, ct)) / h)
+    return np.array(images), np.array(costs)
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_batched_columns_match_one_complex_sweep_per_column(monkeypatch, name):
+    problem, mesh, state, controls, _ = _solved(name)
+    idx = flat_index(mesh, problem.n)
+    cidx = control_index(mesh, problem.m_u, problem.m_w)
+    want = [
+        *_per_column(problem, mesh, idx, pack(state), lambda s: (s, controls)),
+        *_per_column(problem, mesh, cidx, pack(controls), lambda c: (state, c)),
+    ]
+    for budget in (forward.BATCH_BYTES, 40_000):  # one chunk, then several
+        monkeypatch.setattr(forward, "BATCH_BYTES", budget)
+        for new, old in zip(_columns(problem, mesh, state, controls), want):
+            assert new.tobytes() == old.tobytes()
+
+
+def test_member_chunks_count_the_element_size():
+    problem = models.make_model(models.make_params("biload_demo"))
+    real = forward.member_chunks(problem, MESH, 1000)
+    packed = forward.member_chunks(problem, MESH, 1000, itemsize=16)
+    assert len(packed[0]) == len(real[0]) // 2 < len(real[0])
+
+
+def test_a_non_analytic_kernel_fails_the_dense_oracle():
+    # |phi| has no complex extension that carries its derivative, so the
+    # complex step drops the term while its hand partial stays right: the
+    # dense oracle's precondition, shown failing loudly, never silently
+    params = models.make_params("heat")
+    heat = models.make_model(params)
+    f1 = heat.kernels["f1"]
+    kernels = dict(heat.kernels)
+    kernels["f1"] = Kernel(
+        fn=lambda a: f1.fn(a) + 3.0 * np.abs(a.phi),
+        partials={**f1.partials, "phi": lambda a: 3.0 * np.sign(a.phi)[..., None]},
+    )
+    problem = Problem(
+        n=1, m_u=1, m_w=1, kernels=kernels, cost_F1=heat.cost_F1, cost_G1=heat.cost_G1
+    )
+    assert validate_partials(problem).passed
+    mesh = build_mesh(0.02, 8, 0.0, 1.0, 8)
+    controls = zero_controls(mesh, 1, 1)
+    controls.u[...] = 0.5
+    cfg = SolverConfig(tol=1e-12, relax=models.picard_relax_hint(params, mesh), max_iter=4000)
+    report = verify.gradient_check(problem, mesh, controls, n_dirs=2, seed=0, cfg=cfg)
+    assert not report.passed
+    assert max(e.err_dto for e in report.entries) > verify.TOL_DTO

@@ -14,7 +14,7 @@ from biload import adjoint, forward, models, verify
 from biload.adjoint import _zero_partials, partial_cache
 from biload.errors import DivergenceError
 from biload.forward import SolverConfig, SolveReport, sweep_map
-from biload.kernels import Kernel, Problem, eval_kernel, slot_tables
+from biload.kernels import Kernel, Problem, eval_kernel
 from biload.mesh import build_mesh
 from biload.state import (
     LAYOUTS,
@@ -171,7 +171,7 @@ def test_full_shape_kernel_value_is_read_only():
     state = zero_state(MESH, 1)
     state.phi[...] = 1.0
     controls = zero_controls(MESH, 0, 0)
-    tables = slot_tables(state, derive_slots(MESH, state), controls)
+    tables = (state, derive_slots(MESH, state), controls)
     F = eval_kernel(problem, "f0", MESH, tables)
     assert F.shape == state.phi.shape and np.shares_memory(F, state.phi)
     assert not F.flags.writeable
@@ -223,7 +223,8 @@ def test_zero_partials_are_fresh_writable_zeros():
     assert all(np.all(arr == 7.0) for arr in first.values())
 
 
-def test_gradient_check_reuses_the_dense_oracle_cache(monkeypatch):
+def test_gradient_check_builds_one_partial_cache(monkeypatch):
+    # with the dense oracle or without it: the oracle reads no partials
     params, problem, controls = _model("lq_volterra")
     calls = []
 
@@ -246,7 +247,7 @@ def test_flat_iterate_keeps_gradient_check_entries():
     report = verify.gradient_check(problem, MESH, controls, n_dirs=1, cfg=cfg, blocks=["u"])
     state = verify.dto_solve(problem, MESH, controls, cfg).state
     slots = derive_slots(MESH, state)
-    cache = partial_cache(problem, MESH, slot_tables(state, slots, controls))
+    cache = partial_cache(problem, MESH, (state, slots, controls))
     costate, _ = adjoint.solve_costate(problem, MESH, state, slots, controls, cfg, cache)
     grad = adjoint.control_gradient(problem, MESH, state, slots, controls, costate, cache)
     assert report.grad.g_u.tobytes() == grad.g_u.tobytes()

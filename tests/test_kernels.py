@@ -19,7 +19,6 @@ from biload.kernels import (
     costate_value_contract,
     eval_kernel,
     forward_contract,
-    slot_tables,
     transpose_contract,
     validate_partials,
 )
@@ -101,7 +100,7 @@ def _random_inputs(seed=0):
 
 STATE, CONTROLS = _random_inputs()
 SLOTS = derive_slots(MESH, STATE)
-TABLES = slot_tables(STATE, SLOTS, CONTROLS)
+TABLES = (STATE, SLOTS, CONTROLS)
 
 KERNELS = {}
 MATS = {}

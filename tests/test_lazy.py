@@ -22,7 +22,7 @@ from biload.adjoint import (
     solve_costate,
 )
 from biload.forward import SolverConfig, solve_forward, sweep_map
-from biload.kernels import SLOT_FAMILIES, TERMS, Problem, kernel_args, slot_tables
+from biload.kernels import SLOT_FAMILIES, TERMS, Problem, kernel_args
 from biload.mesh import LEFT, RIGHT, StencilKind, apply_axis, apply_stencil, build_mesh
 from biload.state import (
     WALL_PAIRS,
@@ -70,7 +70,7 @@ def eager_slots(mesh, state):
 
 
 def eager_tables(state, slots, controls):
-    """The (state, slots, controls) sources of `slot_tables`, with every
+    """The (state, slots, controls) tables a term reads, with every
     derived slot of the dict slots already computed."""
     return state, SimpleNamespace(**slots), controls
 
@@ -110,7 +110,7 @@ def test_lazy_kernel_args_equal_arrange(name):
         problem = models.make_model(models.make_params(name))
     mesh = build_mesh(0.5, 6, 0.0, 1.0, 5)
     state, controls = _random_inputs(mesh, problem, 3)
-    lazy = slot_tables(state, derive_slots(mesh, state), controls)
+    lazy = (state, derive_slots(mesh, state), controls)
     eager = eager_tables(state, eager_slots(mesh, state), controls)
     for term in problem.terms:
         shape = TERMS[term]
@@ -140,7 +140,7 @@ def test_kernel_args_arrange_only_what_the_term_reads():
     problem = Problem(n=1, m_u=0, m_w=0, kernels={})
     state, controls = _random_inputs(mesh, problem, 0)
     slots = derive_slots(mesh, state)
-    args = kernel_args("f3", mesh, slot_tables(state, slots, controls))
+    args = kernel_args("f3", mesh, (state, slots, controls))
     assert args.phi.shape == (1, 1, 5, 5, 1)  # read at (s, y)
     assert set(args._values) == {"t", "x", "s", "y", "phi"}
     assert not set(vars(slots)) & set(DERIVED)
@@ -151,7 +151,7 @@ def test_unknown_kernel_argument_lists_every_name(term):
     mesh = build_mesh(0.5, 4, 0.0, 1.0, 4)
     problem = Problem(n=1, m_u=1, m_w=1, kernels={})
     state, controls = _random_inputs(mesh, problem, 0)
-    tables = slot_tables(state, derive_slots(mesh, state), controls)
+    tables = (state, derive_slots(mesh, state), controls)
     shape = TERMS[term]
     names = sorted(
         [arg for arg, _, _ in shape.coords]
@@ -226,7 +226,7 @@ def test_gradient_from_the_costate_cache_is_bitwise():
     cfg = SolverConfig(tol=1e-12, max_iter=2000)
     state, _ = solve_forward(problem, mesh, controls, cfg)
     slots = derive_slots(mesh, state)
-    cache = partial_cache(problem, mesh, slot_tables(state, slots, controls))
+    cache = partial_cache(problem, mesh, (state, slots, controls))
     co, _ = solve_costate(problem, mesh, state, slots, controls, cfg, cache)
     co_fresh, _ = solve_costate(problem, mesh, state, slots, controls, cfg)
     for a, b in zip(co.blocks(), co_fresh.blocks()):

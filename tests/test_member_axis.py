@@ -5,19 +5,19 @@ they replace.
 `solve_forward` per member, in order, the order in which the batch yields
 them.  The batch must agree with it bit for bit, reports and error messages
 included, because benchmark failure counts follow the floating-point bits.  The dense oracle's batched columns are held
-to the column-by-column loop `dto_solve` ran before, written out here."""
+to the hand linearization run column by column (`linearized.hand_dto`)."""
 
 import numpy as np
 import pytest
 
 from biload import forward, kernels, models, verify
-from biload.adjoint import partial_cache
 from biload.errors import ConfigError, DivergenceError, KernelEvalError
 from biload.forward import SolverConfig
-from biload.kernels import Kernel, Problem, eval_kernel, forward_contract, slot_tables
+from biload.kernels import Kernel, Problem, eval_kernel, forward_contract
 from biload.mesh import build_mesh
 from biload.state import (
     CONTROL_BLOCKS,
+    ControlBundle,
     StateBundle,
     bundle_of,
     control_index,
@@ -27,8 +27,8 @@ from biload.state import (
     pack,
     unpack,
     zero_controls,
-    zero_state,
 )
+from linearized import assert_agree, hand_dto
 
 MESH = build_mesh(1.0, 6, 0.0, 1.0, 6)
 #: control amplitude of each member: the larger, the later it converges
@@ -216,36 +216,6 @@ def test_gradient_check_matches_the_per_direction_loop(monkeypatch, name):
     ]
 
 
-def per_column_dto(problem, mesh, controls, cfg):
-    """dto_solve's column-by-column assembly: gradient and multipliers."""
-    idx = flat_index(mesh, problem.n)
-    state, _ = forward.solve_forward(problem, mesh, controls, cfg)
-    cache = partial_cache(problem, mesh, slot_tables(state, derive_slots(mesh, state), controls))
-    N = idx.total
-    A, dJdPhi = np.empty((N, N)), np.empty(N)
-    zctrl = zero_controls(mesh, problem.m_u, problem.m_w)
-    basis = np.zeros(N)
-    for col in range(N):
-        basis[col] = 1.0
-        dsw, dtables = verify._linearized_sweep(problem, mesh, cache, unpack(idx, basis), zctrl)
-        A[:, col] = dsw.flat - basis
-        dJdPhi[col] = verify._linearized_cost(problem, mesh, cache, dtables)
-        basis[col] = 0.0
-    cidx = control_index(mesh, problem.m_u, problem.m_w)
-    M = cidx.total
-    B, dJdU = np.empty((N, M)), np.empty(M)
-    zst = zero_state(mesh, problem.n)
-    cbasis = np.zeros(M)
-    for col in range(M):
-        cbasis[col] = 1.0
-        dsw, dtables = verify._linearized_sweep(problem, mesh, cache, zst, unpack(cidx, cbasis))
-        B[:, col] = dsw.flat
-        dJdU[col] = verify._linearized_cost(problem, mesh, cache, dtables)
-        cbasis[col] = 0.0
-    lam = np.linalg.solve(A.T, -dJdPhi)
-    return dJdU + B.T @ lam, lam
-
-
 @pytest.mark.parametrize("name", ["biload_demo", "forest_fire_minimal", "integral_cv_barenblatt"])
 def test_batched_dense_oracle_matches_the_column_loop(monkeypatch, name):
     params, problem, (_, _, controls, _) = _members(name)
@@ -253,12 +223,42 @@ def test_batched_dense_oracle_matches_the_column_loop(monkeypatch, name):
     controls = zero_controls(mesh, problem.m_u, problem.m_w)
     controls.u[...] = 0.2
     cfg = SolverConfig(tol=1e-12, relax=models.picard_relax_hint(params, mesh), max_iter=4000)
-    grad, lam = per_column_dto(problem, mesh, controls, cfg)
+    state, _ = forward.solve_forward(problem, mesh, controls, cfg)
+    want = hand_dto(problem, mesh, state, controls)
     for budget in (forward.BATCH_BYTES, 40_000):  # one chunk, then several
         monkeypatch.setattr(forward, "BATCH_BYTES", budget)
         dto = verify.dto_solve(problem, mesh, controls, cfg)
-        assert np.concatenate([dto.grad.block(b).ravel() for b in CONTROL_BLOCKS]).tobytes() == grad.tobytes()
-        assert pack(dto.multipliers).tobytes() == lam.tobytes()
+        got = np.concatenate([dto.grad.block(b).ravel() for b in CONTROL_BLOCKS]), pack(dto.multipliers)
+        for new, old in zip(got, want):
+            assert_agree(name, new, old)
+
+
+def _member_inputs(problem, mesh, count, seed):
+    """count random states and count random controls, each as one member
+    bundle and as the list of its members."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for cls, index in ((StateBundle, flat_index(mesh, problem.n)),
+                       (ControlBundle, control_index(mesh, problem.m_u, problem.m_w))):
+        flat = 0.3 * rng.standard_normal((count, index.total))
+        out += [bundle_of(cls, flat, index.shapes), [unpack(index, row.copy()) for row in flat]]
+    return out
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_cost_of_a_member_bundle_matches_the_member_loop(name):
+    problem = models.make_model(models.make_params(name))
+    states, state_list, controls, control_list = _member_inputs(problem, MESH, 3, 7)
+    cost = lambda st, ct: forward.eval_cost(problem, MESH, st, derive_slots(MESH, st), ct)
+    # state and controls with the same member axis, or only one of them with it
+    for st, ct, pairs in (
+        (states, controls, list(zip(state_list, control_list))),
+        (states, control_list[1], [(s, control_list[1]) for s in state_list]),
+        (state_list[2], controls, [(state_list[2], c) for c in control_list]),
+    ):
+        together = cost(st, ct)
+        assert together.shape == (3,)
+        assert together.tobytes() == np.array([cost(s, c) for s, c in pairs]).tobytes()
 
 
 def test_fire_radiation_term_keeps_the_raw_path_per_member(monkeypatch):
@@ -275,7 +275,7 @@ def test_fire_radiation_term_keeps_the_raw_path_per_member(monkeypatch):
     )
 
     def contracted(state, lead):
-        tables = slot_tables(state, derive_slots(mesh, state), controls)
+        tables = (state, derive_slots(mesh, state), controls)
         F = eval_kernel(problem, "f3", mesh, tables, lead=lead)
         assert F.shape[: len(lead)] == lead
         return forward_contract(mesh, "f3", F)

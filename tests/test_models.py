@@ -3,7 +3,7 @@ import pytest
 
 from biload.errors import ConfigError
 from biload.forward import SolverConfig, solve_forward
-from biload.kernels import kernel_args, slot_tables, validate_partials
+from biload.kernels import kernel_args, validate_partials
 from biload.mesh import StencilKind, apply_stencil, build_mesh
 from biload.models import (
     MODEL_NAMES,
@@ -75,7 +75,7 @@ def test_heat_recast_differentiates_back_to_instant_flux():
 
 def _point_eval(prob, kid, mesh, state, controls):
     slots = derive_slots(mesh, state)
-    tables = slot_tables(state, slots, controls)
+    tables = (state, slots, controls)
     args = kernel_args(kid, mesh, tables)
     return prob.kernels[kid].fn(args), slots
 

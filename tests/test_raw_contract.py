@@ -21,7 +21,6 @@ from biload.kernels import (
     eval_kernel,
     eval_kernel_partial,
     forward_contract,
-    slot_tables,
     transpose_contract,
 )
 from biload.mesh import build_mesh
@@ -79,7 +78,7 @@ def _random_state(mesh, problem, rng):
     for block in state.CONTROL_BLOCKS:
         arr = getattr(controls, block)
         arr[...] = 0.1 * rng.standard_normal(arr.shape)
-    return slot_tables(st, state.derive_slots(mesh, st), controls)
+    return (st, state.derive_slots(mesh, st), controls)
 
 
 def _takes_raw_path(shape, arr):

@@ -3,7 +3,7 @@ import pytest
 
 from biload.errors import ConfigError
 from biload.forward import SolverConfig, sweep_map
-from biload.kernels import CostTerm, Kernel, Problem, slot_tables
+from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_curve_mesh, build_mesh
 from biload.models import make_model, make_params, model_reference, picard_relax_hint
 from biload.state import derive_slots, pack, zero_controls
@@ -99,10 +99,11 @@ def test_dto_size_cap():
 
 
 def test_linearized_sweep_matches_fd_of_sweep_map():
-    # nonlinear kernels: directional derivative of the sweep by central FD
+    # nonlinear kernels: the hand linearization, the complex-step columns'
+    # test oracle, is the directional derivative of the sweep by central FD
     from biload.adjoint import partial_cache
     from biload.state import StateBundle
-    from biload.verify import _linearized_sweep
+    from linearized import linearized_sweep
 
     prob = make_model(make_params("forest_fire_minimal"))
     mesh = build_mesh(0.02, 5, 0.0, 1.0, 5)
@@ -126,8 +127,8 @@ def test_linearized_sweep_matches_fd_of_sweep_map():
     )
     ctrl = zero_controls(mesh, 1, 1)
     slots = derive_slots(mesh, state)
-    cache = partial_cache(prob, mesh, slot_tables(state, slots, ctrl))
-    lin, _ = _linearized_sweep(prob, mesh, cache, dstate, ctrl)
+    cache = partial_cache(prob, mesh, (state, slots, ctrl))
+    lin, _ = linearized_sweep(prob, mesh, cache, dstate, ctrl)
 
     eps = 1e-6
     up = StateBundle(*(s + eps * d for s, d in zip(state.blocks(), dstate.blocks())))
@@ -195,7 +196,8 @@ def test_gradient_check_lq_passes_and_is_deterministic():
 
 
 def test_gradient_check_names_corrupted_block():
-    # a wrong control partial poisons both the costate and dense oracles
+    # a wrong control partial poisons the costate gradient; the dense oracle
+    # differentiates the sweep itself and stays right
     prob = make_model(make_params("lq_volterra"))
     f1 = prob.kernels["f1"]
     corrupted = Problem(
@@ -214,6 +216,7 @@ def test_gradient_check_names_corrupted_block():
     report = gradient_check(corrupted, MESH, zero_controls(MESH, 1, 0), n_dirs=2, seed=4)
     assert not report.passed
     assert report.failing_blocks() == ["u"]
+    assert max(e.err_dto for e in report.entries) <= 1e-5
 
 
 def test_refinement_study_forward_error_orders():
