@@ -10,7 +10,7 @@ fixed config and seed.
 Exit status: 0 on success (and a passing grad-check), 1 for a failing
 grad-check, 2 for config errors, 3 for solver failures.  optimize exits 0
 whatever its stop reason, `line_search_failed` included; it prints the
-status instead.
+status instead, then its line-search trials and solved members.
 """
 
 from __future__ import annotations
@@ -408,6 +408,7 @@ def _cmd_optimize(spec: RunSpec, outdir: Path, seed: int) -> int:
     )
     write_block_csvs(outdir, mesh, best.named())
     print(f"optimize: status={history.status} J_final={history.rows[-1][1]!r}")
+    print(f"optimize: trials={sum(history.trials)} members={sum(history.members)}")
     return 0
 
 

@@ -7,18 +7,26 @@ J(new) <= J(old) - armijo_c * step * |g|^2 measured in the quadrature
 norm; forward non-convergence at a trial point rejects the step like an
 insufficient decrease.  The method claims stationarity (small gradient),
 nothing stronger.
+
+The trial steps of a line search are known before any is solved: step0,
+then `step *= backtrack` down to STEP_FLOOR.  The ladder goes to
+`forward.solve_forward_many` in chunks of 1, 2, 4, ... members (up to one
+batched sweep), and the first member in ladder order that passes is
+accepted, so the result is bit for bit that of the sequential search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, islice, repeat, takewhile
+from operator import mul
 
 import numpy as np
 
 from .adjoint import control_gradient, gradient_norm2, partial_cache, solve_costate
 from .errors import ConfigError, DivergenceError
-from .forward import SolverConfig, eval_cost, solve_forward
+from .forward import SolverConfig, eval_cost, member_chunks, solve_forward, solve_forward_many
 from .kernels import Problem
 from .mesh import Mesh
 from .state import CONTROL_BLOCKS, ControlBundle, derive_slots
@@ -52,6 +60,10 @@ class OptimizeOptions:
 class OptimizeHistory:
     rows: list = field(default_factory=list)  # (iter, J, gnorm, step, fwd_iters)
     status: str = "running"
+    # per line search: the trials the sequential search solves, and the
+    # members solved, speculative and re-solved ones included
+    trials: list = field(default_factory=list)
+    members: list = field(default_factory=list)
 
     def costs(self):
         return [r[1] for r in self.rows]
@@ -95,6 +107,10 @@ def run_gd(
     forward iterations); J is nonincreasing across accepted iterations.
     The costate solves use solver_cfg too.  Terminates on gtol, max_outer,
     or when backtracking underflows STEP_FLOOR (status line_search_failed).
+    Each line search solves its ladder of trial steps in doubling chunks
+    along the member axis and accepts the first member that passes, bit for
+    bit the sequential search; history.trials and history.members count,
+    per search, the members that search reaches and the members solved.
     """
     opts = opts or OptimizeOptions()
     solver_cfg = solver_cfg or SolverConfig()
@@ -119,6 +135,37 @@ def run_gd(
             raise DivergenceError("costate solve did not converge")
         return control_gradient(problem, mesh, state, slots, controls, costate, cache)
 
+    def line_search():
+        """The first ladder member passing Armijo, as (step, controls, state,
+        slots, J, report), or None.  A member that raises DivergenceError is
+        rejected and the rest of its chunk goes to a new batch: the results
+        stop at the raise, after solve_forward_many re-solved the chunk one
+        member at a time up to it."""
+        steps = accumulate(repeat(opts.backtrack), mul, initial=opts.step0)  # as `step *= backtrack`
+        ladder = takewhile(lambda step: step >= STEP_FLOOR, steps)
+        pending, size, trials, members, found = [], 1, 0, 0, None
+        while found is None and (chunk := pending or list(islice(ladder, size))):
+            points = [project(_descend(controls, grad, step), bounds) for step in chunk]
+            results, pending = solve_forward_many(problem, mesh, points, solver_cfg), []
+            members += len(chunk)
+            size = len(member_chunks(problem, mesh, 2 * size)[0])  # double, within one batch
+            for j, (step, trial) in enumerate(zip(chunk, points)):
+                trials += 1
+                try:
+                    tstate, trep = next(results)
+                except DivergenceError:
+                    members, pending = members + j + 1, chunk[j + 1:]
+                    break
+                if trep.converged:
+                    tslots = derive_slots(mesh, tstate)
+                    tJ = eval_cost(problem, mesh, tstate, tslots, trial)
+                    if tJ <= J - opts.armijo_c * step * gnorm2:
+                        found = step, trial, tstate, tslots, tJ, trep
+                        break
+        history.trials.append(trials)
+        history.members.append(members)
+        return found
+
     grad = fresh_gradient()
     gnorm2 = gradient_norm2(mesh, grad)
     gnorm = float(np.sqrt(gnorm2))
@@ -128,30 +175,12 @@ def run_gd(
         if gnorm <= opts.gtol:
             history.status = "stationary"
             break
-
-        step = opts.step0
-        accepted = False
-        while step >= STEP_FLOOR:
-            trial = project(_descend(controls, grad, step), bounds)
-            try:
-                tstate, trep = solve_forward(problem, mesh, trial, solver_cfg)
-            except DivergenceError:
-                step *= opts.backtrack
-                continue
-            if not trep.converged:
-                step *= opts.backtrack
-                continue
-            tslots = derive_slots(mesh, tstate)
-            tJ = eval_cost(problem, mesh, tstate, tslots, trial)
-            if tJ <= J - opts.armijo_c * step * gnorm2:
-                accepted = True
-                break
-            step *= opts.backtrack
-        if not accepted:
+        found = line_search()
+        if found is None:
             history.status = "line_search_failed"
             break
 
-        controls, state, slots, J, rep = trial, tstate, tslots, tJ, trep
+        step, controls, state, slots, J, rep = found
         if J < best_J:
             best_controls, best_J = controls.copy(), J
         grad = fresh_gradient()
@@ -160,7 +189,4 @@ def run_gd(
         history.rows.append((outer, J, gnorm, step, rep.iterations))
     else:
         history.status = "max_outer"
-
-    if history.status == "running":
-        history.status = "stationary"
     return best_controls, history
