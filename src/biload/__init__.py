@@ -14,7 +14,6 @@ from .adjoint import (
     block_pairing,
     control_gradient,
     gradient_norm2,
-    hamiltonian_report,
     solve_costate,
 )
 from .errors import (
@@ -70,7 +69,6 @@ from .state import (
     derive_slots,
     flat_index,
     pack,
-    sup_distance,
     unpack,
     zero_controls,
     zero_costate,

@@ -42,11 +42,8 @@ from .kernels import (
     TERMS,
     Problem,
     check_finite,
-    costate_value_contract,
-    eval_kernel,
     eval_kernel_partial,
     kernel_args,
-    term_label,
     transpose_contract,
 )
 from .mesh import Mesh, apply_axis
@@ -256,31 +253,3 @@ def gradient_norm2(mesh: Mesh, grad: ControlGradient) -> float:
         if g.size:
             total += block_pairing(mesh, block, g, g)
     return total
-
-
-def hamiltonian_report(
-    problem: Problem,
-    mesh: Mesh,
-    state: StateBundle,
-    slots: DerivedSlots,
-    controls: ControlBundle,
-    costate: CoStateBundle,
-) -> dict:
-    """Diagnostic per-node split of the costate-weighted functional.
-
-    Every kernel term is attributed to the node family where its state
-    slots are read; the four cost densities are attributed to the interior
-    grid, the boundary strip, the initial slice, and the initial boundary
-    pair respectively.  Purely for inspection and plotting.
-    """
-    tables = (state, slots, controls)
-    fields = {L.eq: np.zeros(L.nodes(mesh)) for L in LAYOUTS}
-    for name in problem.terms:
-        shape = TERMS[name]
-        F = eval_kernel(problem, name, mesh, tables)
-        check_finite(term_label(name), F)
-        if shape.values:
-            lam = getattr(costate, LAYOUT[shape.eq].costate)
-            F = costate_value_contract(mesh, name, lam, F)
-        fields[LAYOUT[shape.family].eq] += F
-    return fields

@@ -44,6 +44,7 @@ from .state import (
     zero_controls,
 )
 from .verify import (
+    _TIGHT,
     gradient_check,
     ibp_residual,
     refinement_study,
@@ -68,7 +69,7 @@ _SOLVER_KEYS = {
     "max_iter": int,
     "divergence_guard": float,
 }
-_SOLVER_DEFAULTS = {"tol": 1e-10, "relax": "auto", "max_iter": 500, "divergence_guard": 1e8}
+_SOLVER_DEFAULTS = {**dataclasses.asdict(SolverConfig()), "relax": "auto"}
 _OPT_KEYS = {
     "max_outer": int,
     "armijo_c": float,
@@ -261,20 +262,15 @@ def _solver_cfg(spec: RunSpec, mesh: Mesh) -> SolverConfig:
     relax = spec.solver["relax"]
     if relax == "auto":
         relax = picard_relax_hint(spec.model, mesh)
-    return SolverConfig(
-        tol=spec.solver["tol"],
-        relax=relax,
-        max_iter=spec.solver["max_iter"],
-        divergence_guard=spec.solver["divergence_guard"],
-    )
+    return SolverConfig(**{**spec.solver, "relax": relax})
 
 
 def _tight_cfg(spec: RunSpec, mesh: Mesh) -> SolverConfig:
     """The config's solver settings tightened for gradient checks and
-    refinement: tol at most 1e-12, at least 2000 sweeps."""
+    refinement: tol and max_iter at least as tight as verify's defaults."""
     cfg = _solver_cfg(spec, mesh)
     return dataclasses.replace(
-        cfg, tol=min(cfg.tol, 1e-12), max_iter=max(cfg.max_iter, 2000)
+        cfg, tol=min(cfg.tol, _TIGHT.tol), max_iter=max(cfg.max_iter, _TIGHT.max_iter)
     )
 
 

@@ -367,13 +367,11 @@ def _evaluate(problem: Problem, name: str, slot, mesh: Mesh, tables, args, lead=
         ) from None
 
 
-def eval_kernel(
-    problem: Problem, kid: str, mesh: Mesh, tables: tuple, args: KernelArgs = None, lead=()
-) -> np.ndarray:
+def eval_kernel(problem: Problem, kid: str, mesh: Mesh, tables: tuple, lead=()) -> np.ndarray:
     """Evaluate a kernel on the full consumer x producer grid, shape
     (*lead, *grid_axes, n), or a cost density on its nodes (kid a cost
     name); lead holds the member axes of the slots in tables."""
-    return _evaluate(problem, kid, None, mesh, tables, args, lead)
+    return _evaluate(problem, kid, None, mesh, tables, None, lead)
 
 
 def eval_kernel_partial(
@@ -388,7 +386,7 @@ def eval_kernel_partial(
     return _evaluate(problem, kid, slot, mesh, tables, args)
 
 
-def _contraction(shape: KernelShape, mesh: Mesh, transpose: bool, trail: str = ""):
+def _contraction(shape: KernelShape, mesh: Mesh, transpose: bool):
     """Weight operands and their einsum subscripts for the producer axes,
     the einsum of the contraction and its output letters."""
     c_time, c_space = LAYOUT[shape.eq].time, LAYOUT[shape.eq].space
@@ -416,8 +414,8 @@ def _contraction(shape: KernelShape, mesh: Mesh, transpose: bool, trail: str = "
         ops.append(mesh.wx)
         subs.append("j")
     # a free boundary-side consumer carries counting weight one
-    out = "".join(shape.slot_letters[shape.family]) + trail
-    spec = ",".join([shape.consumer + "n", shape.full + "n" + trail] + subs) + "->" + out
+    out = "".join(shape.slot_letters[shape.family]) + "d"
+    spec = ",".join([shape.consumer + "n", shape.full + "nd"] + subs) + "->" + out
     return ops, subs, spec, out
 
 
@@ -485,27 +483,6 @@ def forward_contract(mesh: Mesh, kid: str, F: np.ndarray) -> np.ndarray:
     return np.einsum(spec, *ops, F)
 
 
-def _transposed(mesh: Mesh, kid: str, lam: np.ndarray, arr: np.ndarray, trail: str):
-    """Pair lam with arr (axes full + "n" + trail) and accumulate onto the
-    producer slot nodes of the kernel's own family.
-
-    The rule of forward_contract applies, and for the same reason: only a
-    term with a running time integral and a producer-space integral whose
-    array has stride 0 along the consumer time takes the raw path, where
-    the costate is contracted with the running and free-space weights
-    first and that small array with the raw array.  Every other term keeps
-    its einsum and its bits.
-    """
-    shape = TERMS[kid]
-    key = ("transposed", kid, trail)
-    ops, subs, spec, out = mesh.plan(key, _contraction, shape, mesh, True, trail)
-    if _stationary(shape, arr):
-        return _raw_contract(
-            [shape.consumer + "n", *subs], [lam, *ops], arr, shape.full + "n" + trail, out
-        )
-    return np.einsum(spec, lam, arr, *ops)
-
-
 def transpose_contract(
     mesh: Mesh, kid: str, lam: np.ndarray, P: np.ndarray
 ) -> np.ndarray:
@@ -518,17 +495,21 @@ def transpose_contract(
     enclosing functional: a running upper-trapezoid in time for running
     kernels, the interior quadrature for a free interior coordinate, the
     counting measure for a free boundary side.
+
+    The rule of forward_contract applies, and for the same reason: only a
+    term with a running time integral and a producer-space integral whose
+    partial has stride 0 along the consumer time takes the raw path, where
+    the costate is contracted with the running and free-space weights
+    first and that small array with the raw array.  Every other term keeps
+    its einsum and its bits.
     """
-    return _transposed(mesh, kid, lam, P, "d")
-
-
-def costate_value_contract(
-    mesh: Mesh, kid: str, lam: np.ndarray, F: np.ndarray
-) -> np.ndarray:
-    """Like transpose_contract but pairing costate with kernel values,
-    attributing the scalar result to the producer nodes (used by the
-    diagnostic per-node energy report)."""
-    return _transposed(mesh, kid, lam, F, "")
+    shape = TERMS[kid]
+    ops, subs, spec, out = mesh.plan(("transposed", kid), _contraction, shape, mesh, True)
+    if _stationary(shape, P):
+        return _raw_contract(
+            [shape.consumer + "n", *subs], [lam, *ops], P, shape.full + "nd", out
+        )
+    return np.einsum(spec, lam, P, *ops)
 
 
 def check_finite(name: str, arr: np.ndarray) -> None:

@@ -167,6 +167,9 @@ def build_mesh(T_final: float, Nt: int, x_a: float, x_b: float, Nx: int) -> Mesh
     for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
+    for name in ("Nt", "Nx"):
+        if values[name] != int(values[name]):
+            raise ConfigError(f"{name} must be a whole number, got {values[name]!r}")
     if T_final <= 0:
         raise ConfigError(f"T_final must be positive, got {T_final}")
     if not x_a < x_b:
@@ -230,6 +233,8 @@ class CurveMesh:
 
 
 def build_curve_mesh(M: int, L_c: float) -> CurveMesh:
+    if not (math.isfinite(M) and M == int(M)):
+        raise ConfigError(f"M must be a whole number, got {M!r}")
     if M < 8:
         raise ConfigError(f"curve mesh needs M >= 8 nodes, got {M}")
     if not (math.isfinite(L_c) and L_c > 0):

@@ -43,9 +43,6 @@ class ModelParams:
     name: str
     values: dict
 
-    def get(self, key: str) -> float:
-        return self.values[key]
-
 
 MODEL_SCHEMAS = {
     "volterra_exp": {"alpha": 0.1},

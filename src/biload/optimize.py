@@ -18,6 +18,7 @@ accepted, so the result is bit for bit that of the sequential search.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat, takewhile
 from operator import mul
@@ -52,6 +53,8 @@ class OptimizeOptions:
             raise ConfigError(f"step0 must be positive and finite, got {self.step0}")
         if not (math.isfinite(self.gtol) and self.gtol >= 0):
             raise ConfigError(f"gtol must be non-negative and finite, got {self.gtol}")
+        if not isinstance(self.max_outer, numbers.Integral):
+            raise ConfigError(f"max_outer must be a whole number, got {self.max_outer!r}")
         if self.max_outer < 0:
             raise ConfigError(f"max_outer must be non-negative, got {self.max_outer}")
 

@@ -359,15 +359,3 @@ def unpack(idx: FlatIndex, flat: np.ndarray):
     if flat.shape != (idx.total,):
         raise ShapeError(f"expected flat length {idx.total}, got {flat.shape}")
     return bundle_of(idx.bundle, flat, idx.shapes)
-
-
-def sup_distance(a: _Bundle, b: _Bundle) -> float:
-    """Maximum absolute componentwise difference over all six blocks; NaN
-    when any difference is NaN."""
-    worst = [0.0]
-    for ba, bb in zip(a.blocks(), b.blocks()):
-        if ba.shape != bb.shape:
-            raise ShapeError(f"mismatched block shapes {ba.shape} vs {bb.shape}")
-        if ba.size:
-            worst.append(np.max(np.abs(ba - bb)))
-    return float(np.max(worst))

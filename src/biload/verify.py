@@ -115,6 +115,8 @@ def fd_directional(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(f"eps must be positive and finite, got {eps}")
+    if block not in CONTROL_BLOCKS:
+        raise ConfigError(f"unknown control block {block!r}")
     if getattr(controls, block).shape != np.asarray(direction).shape:
         raise ConfigError(f"direction shape mismatch for block {block!r}")
     cfg = cfg or _TIGHT
@@ -339,8 +341,6 @@ class GradCheckEntry:
 @dataclass
 class GradCheckReport:
     entries: list = field(default_factory=list)
-    seed: int = 0
-    mesh_level: tuple = (0, 0)  # (Nt, Nx)
     costate: CoStateBundle = None  # the solved costate the adjoint column used
     grad: ControlGradient = None  # and its control gradient
 
@@ -397,7 +397,7 @@ def gradient_check(
 
     if blocks is None:
         blocks = [b for b in CONTROL_BLOCKS if problem.slot_dim(b) > 0]
-    report = GradCheckReport(seed=seed, mesh_level=(mesh.Nt, mesh.Nx), costate=costate, grad=grad)
+    report = GradCheckReport(costate=costate, grad=grad)
     rng = np.random.default_rng(seed)
     dirs = [(block, k, smooth_direction(mesh, block, problem.slot_dim(block), rng))
             for block in blocks for k in range(n_dirs)]
@@ -485,7 +485,6 @@ def refinement_study(
     mesh: Mesh,
     levels: int,
     metric: str,
-    controls: ControlBundle = None,
     reference=None,
     block: str = "u",
     seed: int = 0,
@@ -493,7 +492,7 @@ def refinement_study(
     costate_cfg: SolverConfig = None,
 ) -> RefinementTable:
     """Halve dt and dx `levels` times and report the chosen metric with
-    observed orders log2(e_k / e_{k+1})."""
+    observed orders log2(e_k / e_{k+1}), each level at zero controls."""
     if levels < 3:
         raise ConfigError("refinement study needs at least 3 levels")
     if metric not in ("forward_error", "gradient_gap", "ibp_residual"):
@@ -511,15 +510,7 @@ def refinement_study(
             r1, r2 = ibp_residual(m, A, A2, dphi)
             value = abs(r1) + abs(r2)
         else:
-            if controls is None:
-                ctrl = zero_controls(m, problem.m_u, problem.m_w)
-            elif callable(controls):
-                ctrl = controls(m)
-            else:
-                raise ConfigError(
-                    "controls must be None or a mesh -> ControlBundle builder "
-                    "(control arrays are mesh-shaped and cannot cross levels)"
-                )
+            ctrl = zero_controls(m, problem.m_u, problem.m_w)
             if metric == "forward_error":
                 value = forward_sup_error(
                     problem, m, ctrl, reference, lvl_cfg or _TIGHT

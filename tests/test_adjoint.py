@@ -6,7 +6,6 @@ from biload.adjoint import (
     assemble_h_partials,
     block_pairing,
     control_gradient,
-    hamiltonian_report,
     solve_costate,
 )
 from biload.forward import SolverConfig, solve_forward
@@ -303,42 +302,3 @@ def test_costate_non_convergence_is_reported():
     _, rep = solve_costate(prob, MESH, state, slots, ctrl, SolverConfig(max_iter=4))
     assert not rep.converged
     assert rep.iterations == 4
-
-
-def test_hamiltonian_report_zero_and_cost_only():
-    ctrl = zero_controls(MESH, 0, 0)
-    state = zero_state(MESH, 1)
-    slots = derive_slots(MESH, state)
-    zero_prob = Problem(n=1, m_u=0, m_w=0, kernels={})
-    fields = hamiltonian_report(
-        zero_prob, MESH, state, slots, ctrl, zero_costate(MESH, 1)
-    )
-    assert all(not f.any() for f in fields.values())
-
-    cost_prob = Problem(
-        n=1,
-        m_u=0,
-        m_w=0,
-        kernels={},
-        cost_F1=CostTerm(
-            fn=lambda a: (a.phi**2).sum(-1), partials={"phi": lambda a: 2.0 * a.phi}
-        ),
-    )
-    state.phi[:] = 0.5
-    fields = hamiltonian_report(
-        cost_prob, MESH, state, slots, ctrl, zero_costate(MESH, 1)
-    )
-    np.testing.assert_allclose(fields["interior"], 0.25)
-    assert not fields["boundary"].any()
-
-
-def test_hamiltonian_report_finite_on_lq():
-    prob = make_model(make_params("lq_volterra"))
-    ctrl = zero_controls(MESH, 1, 0)
-    state, _ = solve_forward(prob, MESH, ctrl, TIGHT)
-    slots = derive_slots(MESH, state)
-    co, _ = solve_costate(prob, MESH, state, slots, ctrl, TIGHT)
-    fields = hamiltonian_report(prob, MESH, state, slots, ctrl, co)
-    for field in fields.values():
-        assert np.all(np.isfinite(field))
-    assert np.max(np.abs(fields["interior"])) > 1e-6

@@ -22,7 +22,6 @@ from biload.state import (
     derive_slots,
     flat_index,
     pack,
-    sup_distance,
     unpack,
     zero_controls,
     zero_state,
@@ -197,17 +196,6 @@ def test_equal_meshes_give_byte_equal_sweeps(name):
     )
     assert a.keys() == b.keys()
     assert all(a[k].tobytes() == b[k].tobytes() for k in a)
-
-
-def test_sup_distance_propagates_nan():
-    a, b = zero_state(MESH, 1), zero_state(MESH, 1)
-    b.phi0[3, 0] = np.nan
-    assert np.isnan(sup_distance(a, b))
-    b.phiT_bd[1, 0] = 2.0
-    assert np.isnan(sup_distance(a, b))
-    assert np.isnan(sup_distance(b, a))
-    b.phi0[3, 0] = 0.0
-    assert sup_distance(a, b) == 2.0
 
 
 def test_zero_partials_are_fresh_writable_zeros():

@@ -107,6 +107,12 @@ def test_non_convergence_is_reported_not_raised():
             SolverConfig(tol=tol)
 
 
+def test_solver_config_max_iter_must_be_whole():
+    # refused here, not by a TypeError from range() in the first solve
+    with pytest.raises(ConfigError, match="max_iter must be a whole number"):
+        SolverConfig(max_iter=2.5)
+
+
 def test_rhs_interior_volterra_constant_plus_memory():
     # f0 = 1 and a running integral of the constant state: 1 + t at t = 0.5
     prob = Problem(

@@ -191,25 +191,3 @@ def test_full_table_costate_solves_and_derivative_free_blocks_align():
     grad = control_gradient(prob, MESH, state, slots, ctrl, co)
     for name in ("u", "w", "u0", "uT", "w0", "wT"):
         assert np.all(np.isfinite(grad.block(name)))
-
-
-def test_full_table_energy_report_covers_every_node_family():
-    from biload.adjoint import hamiltonian_report
-
-    prob = _full_problem()
-    ctrl = zero_controls(MESH, M_U, M_W)
-    state, _ = solve_forward(prob, MESH, ctrl, SolverConfig(tol=1e-12))
-    slots = derive_slots(MESH, state)
-    co, _ = solve_costate(prob, MESH, state, slots, ctrl, SolverConfig(tol=1e-12))
-    fields = hamiltonian_report(prob, MESH, state, slots, ctrl, co)
-    assert set(fields) == {
-        "interior",
-        "boundary",
-        "initial",
-        "final",
-        "initial_bd",
-        "final_bd",
-    }
-    for name, field in fields.items():
-        assert np.all(np.isfinite(field))
-        assert np.max(np.abs(field)) > 1e-8, name

@@ -16,7 +16,6 @@ from biload.kernels import (
     CostTerm,
     Kernel,
     Problem,
-    costate_value_contract,
     eval_kernel,
     forward_contract,
     transpose_contract,
@@ -268,13 +267,12 @@ def _producer_nodes(fam):
     return [(e,) for e in range(2)]
 
 
-def brute_transpose(kid, slot=None):
+def brute_transpose(kid, slot):
     """Costate-weighted accumulation onto producer nodes, by definition:
     for running kernels the free consumer time carries the transposed
     running weight wt[i] V[i,k] / wt[k]; a free interior consumer
     coordinate carries the space quadrature; a free side carries the
-    counting measure; pinned coordinates carry no weight.  With slot None
-    the costate pairs with the kernel value instead of its partial."""
+    counting measure; pinned coordinates carry no weight."""
     shape = KERNEL_SHAPES[kid]
     fam = shape.family
     lam = LAMBDAS[shape.eq]
@@ -282,7 +280,7 @@ def brute_transpose(kid, slot=None):
     V = MESH.volterra_lower
     out = {}
     for pnode in _producer_nodes(fam):
-        acc = 0.0 if slot is None else np.zeros(_slot_dim(slot))
+        acc = np.zeros(_slot_dim(slot))
         for cnode in _consumers(shape.eq):
             coords = _consumer_coords(shape.eq, cnode)
             # producer must be reachable from this consumer
@@ -312,11 +310,7 @@ def brute_transpose(kid, slot=None):
             else:
                 weight *= MESH.wx[cons_space] if _cons_space_is_interior(shape.eq) else 1.0
                 coords["eta"] = MESH.bd_x[sp]
-            if slot is None:
-                P = _formula(kid, coords, tk, sp)
-            else:
-                P = _formula_partial(kid, slot, coords)
-            acc += weight * (lam[cnode] @ P)
+            acc += weight * (lam[cnode] @ _formula_partial(kid, slot, coords))
         out[pnode] = acc
     return out
 
@@ -340,15 +334,6 @@ def test_transpose_contraction_matches_bruteforce(kid, slot):
     lam = LAMBDAS[KERNEL_SHAPES[kid].eq]
     engine = transpose_contract(MESH, kid, lam, P)
     reference = brute_transpose(kid, slot)
-    for node, expected in reference.items():
-        np.testing.assert_allclose(engine[node], expected, atol=1e-12, rtol=1e-9)
-
-
-@pytest.mark.parametrize("kid", KERNEL_IDS)
-def test_costate_value_contraction_matches_bruteforce(kid):
-    F = eval_kernel(PROBLEM, kid, MESH, TABLES)
-    engine = costate_value_contract(MESH, kid, LAMBDAS[KERNEL_SHAPES[kid].eq], F)
-    reference = brute_transpose(kid)
     for node, expected in reference.items():
         np.testing.assert_allclose(engine[node], expected, atol=1e-12, rtol=1e-9)
 

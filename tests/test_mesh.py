@@ -44,6 +44,15 @@ def test_build_mesh_rejects_bad_input(args):
         build_mesh(*args)
 
 
+def test_build_mesh_counts_must_be_whole():
+    # truncating Nt=4.5 would build Nt=4, dt=0.25: another grid than asked for
+    for name, args in (("Nt", (1.0, 4.5, 0.0, 1.0, 8)), ("Nx", (1.0, 8, 0.0, 1.0, 8.5))):
+        with pytest.raises(ConfigError, match=f"{name} must be a whole number"):
+            build_mesh(*args)
+    mesh = build_mesh(1.0, 8.0, 0.0, 1.0, 8.0)
+    assert (mesh.Nt, mesh.Nx, mesh.dt) == (8, 8, 0.125)
+
+
 @pytest.mark.parametrize("count,length", [(4, 1.0), (7, 2.5), (64, 0.125)])
 def test_trapezoid_weights_sum_to_length(count, length):
     mesh = build_mesh(length, count, 0.0, length, count)
@@ -168,6 +177,12 @@ def test_curve_mesh_validation():
     curve = build_curve_mesh(8, 1.0)
     with pytest.raises(ShapeError):
         curve_diff(curve, np.ones(5))
+
+
+def test_curve_mesh_count_must_be_whole():
+    with pytest.raises(ConfigError, match="M must be a whole number"):
+        build_curve_mesh(8.5, 1.0)
+    assert build_curve_mesh(8.0, 1.0).M == 8
 
 
 def test_summation_by_parts_on_circle():

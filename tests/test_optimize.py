@@ -156,3 +156,9 @@ def test_options_validation():
     for kwargs in bad:
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
             OptimizeOptions(**kwargs)
+
+
+def test_options_max_outer_must_be_whole():
+    # refused here, not by a TypeError from range() in run_gd
+    with pytest.raises(ConfigError, match="max_outer must be a whole number"):
+        OptimizeOptions(max_outer=2.5)

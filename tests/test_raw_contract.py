@@ -17,7 +17,6 @@ from biload.kernels import (
     TERMS,
     Kernel,
     Problem,
-    costate_value_contract,
     eval_kernel,
     eval_kernel_partial,
     forward_contract,
@@ -51,9 +50,8 @@ def oracle_forward(mesh, kid, F):
     )
 
 
-def oracle_transposed(mesh, kid, lam, arr, trail):
-    """transpose_contract (trail "d") or costate_value_contract (trail "")
-    as one einsum over the broadcast array arr."""
+def oracle_transposed(mesh, kid, lam, P):
+    """transpose_contract as one einsum over the broadcast partial P."""
     shape = TERMS[kid]
     ops, subs = [], []
     if shape.time_rel == "volterra":
@@ -64,9 +62,9 @@ def oracle_transposed(mesh, kid, lam, arr, trail):
         ops.append(mesh.wx)
         subs.append("j")
     return np.einsum(
-        ",".join([shape.consumer + "n", shape.full + "n" + trail] + subs)
-        + "->" + "".join(own) + trail,
-        lam, arr, *ops,
+        ",".join([shape.consumer + "n", shape.full + "nd"] + subs)
+        + "->" + "".join(own) + "d",
+        lam, P, *ops,
     )
 
 
@@ -86,8 +84,9 @@ def _takes_raw_path(shape, arr):
 
 
 def _contractions(problem, mesh):
-    """(label, engine result, oracle result, raw path taken) for the value
-    and every partial of every kernel of problem at a random state."""
+    """(label, engine result, oracle result, raw path taken) for the forward
+    contraction and every partial's transpose of every kernel of problem at
+    a random state."""
     rng = np.random.default_rng(7)
     tables = _random_state(mesh, problem, rng)
     for kid, kernel in problem.kernels.items():
@@ -96,15 +95,12 @@ def _contractions(problem, mesh):
             state.node_shape(shape.consumer, mesh.Nt, mesh.Nx) + (problem.n,)
         )
         F = eval_kernel(problem, kid, mesh, tables)
-        raw = _takes_raw_path(shape, F)
         yield (f"{kid} forward", forward_contract(mesh, kid, F),
-               oracle_forward(mesh, kid, F), raw)
-        yield (f"{kid} value", costate_value_contract(mesh, kid, lam, F),
-               oracle_transposed(mesh, kid, lam, F, ""), raw)
+               oracle_forward(mesh, kid, F), _takes_raw_path(shape, F))
         for slot in kernel.partials:
             P = eval_kernel_partial(problem, kid, slot, mesh, tables)
             yield (f"{kid} partial wrt {slot}", transpose_contract(mesh, kid, lam, P),
-                   oracle_transposed(mesh, kid, lam, P, "d"), _takes_raw_path(shape, P))
+                   oracle_transposed(mesh, kid, lam, P), _takes_raw_path(shape, P))
 
 
 CASES = [(name, 24 if name == "forest_fire_minimal" else 16) for name in models.MODEL_NAMES]
@@ -137,7 +133,6 @@ def test_only_fire_radiation_takes_the_raw_path():
                 assert np.array_equal(got, want), (name, label)
     assert taken == {
         ("forest_fire_minimal", "f3 forward"),
-        ("forest_fire_minimal", "f3 value"),
         ("forest_fire_minimal", "f3 partial wrt phi"),
     }
 

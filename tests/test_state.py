@@ -15,7 +15,6 @@ from biload.state import (
     derive_slots,
     flat_index,
     pack,
-    sup_distance,
     unpack,
     zero_controls,
     zero_costate,
@@ -150,28 +149,6 @@ def test_unpack_rejects_wrong_length():
     idx = flat_index(MESH, 1)
     with pytest.raises(ShapeError):
         unpack(idx, np.zeros(idx.total + 1))
-
-
-def test_sup_distance_basics():
-    s = _random_state(MESH, seed=3)
-    assert sup_distance(s, s) == 0.0
-    z = zero_state(MESH, 2)
-    bumped = zero_state(MESH, 2)
-    bumped.phiT_bd[1, 0] = 3.0
-    assert sup_distance(z, bumped) == 3.0
-
-
-def test_sup_distance_homogeneous_and_metric():
-    rng = np.random.default_rng(9)
-    a = _random_state(MESH, seed=10)
-    b = _random_state(MESH, seed=11)
-    c = _random_state(MESH, seed=12)
-    dab = sup_distance(a, b)
-    assert sup_distance(b, a) == dab
-    scaled_a = StateBundle(*(2.5 * blk for blk in a.blocks()))
-    scaled_b = StateBundle(*(2.5 * blk for blk in b.blocks()))
-    assert abs(sup_distance(scaled_a, scaled_b) - 2.5 * dab) <= 1e-15 * max(1.0, dab)
-    assert sup_distance(a, c) <= sup_distance(a, b) + sup_distance(b, c) + 1e-15
 
 
 def test_wall_pairs_name_every_state_slot():

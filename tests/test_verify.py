@@ -63,6 +63,14 @@ def test_fd_directional_validates_inputs():
         fd_directional(prob, MESH, ctrl, "u", np.zeros(3))
 
 
+def test_fd_directional_rejects_unknown_block():
+    # the error gradient_check, block_pairing and project raise
+    prob = _control_cost_problem()
+    ctrl = zero_controls(MESH, 1, 0)
+    with pytest.raises(ConfigError, match="unknown control block 'x'"):
+        fd_directional(prob, MESH, ctrl, "x", ctrl.u.copy())
+
+
 def test_dto_gradient_decoupled_control_energy():
     prob = _control_cost_problem()
     ctrl = zero_controls(MESH, 1, 0)

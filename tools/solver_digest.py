@@ -1,14 +1,17 @@
-"""Print one sha256 per builtin model over its solver results.
+"""Print one sha256 per solver step of each builtin model.
 
 Usage: python tools/solver_digest.py
 
 For each of the 8 builtin models on a small grid with smooth nonzero
-controls, hashes the raw bytes of: the forward state and its report, the
-costate and its report, the control gradient, `hamiltonian_report`, the
-`dto_solve` gradient and the `validate_partials` entries.  A step that
-raises contributes only its exception type.  The package is imported from
-the ``src/`` next to this script, so running it in two checkouts and
-diffing the outputs shows whether a change kept these results bit for bit.
+controls, prints one line ``<model> <step> <sha256>`` per step, hashing the
+raw bytes of its result: forward (the state and its residual history),
+cost, costate (the costate and its residual history), gradient (the control
+gradient), dto (the `dto_solve` gradient) and partials (the
+`validate_partials` entries).  A step that raises hashes only its exception
+type; the steps that need its result print no line.  The package is
+imported from the ``src/`` next to this script, so running it in two
+checkouts and diffing the outputs shows which steps a change kept bit for
+bit.
 """
 
 from __future__ import annotations
@@ -49,18 +52,23 @@ def _feed(h, obj) -> None:
         h.update(repr(obj).encode())
 
 
-def _step(h, label, fn):
-    h.update(label.encode())
+def _step(lines, label, fn):
+    """Run fn, append (label, sha256 of its result) to lines and return the
+    result, or None when fn raises."""
+    h = hashlib.sha256(label.encode())
     try:
         result = fn()
     except Exception as exc:  # the failure kind is part of the result
         h.update(type(exc).__name__.encode())
-        return None
-    _feed(h, result)
+        result = None
+    else:
+        _feed(h, result)
+    lines.append((label, h.hexdigest()))
     return result
 
 
-def model_digest(name: str) -> str:
+def model_digest(name: str) -> list:
+    """(step, sha256) of each step run for the builtin model name."""
     params = models.make_params(name)
     problem = models.make_model(params)
     mesh = build_mesh(T_FINAL, NT, 0.0, 1.0, NX)
@@ -74,31 +82,29 @@ def model_digest(name: str) -> str:
         if m:
             getattr(controls, block)[...] = 0.1 * verify.smooth_direction(mesh, block, m, rng)
 
-    h = hashlib.sha256()
-    solved = _step(h, "forward", lambda: forward.solve_forward(problem, mesh, controls, cfg))
+    lines = []
+    # a SolveReport's repr holds its residual history
+    solved = _step(lines, "forward", lambda: forward.solve_forward(problem, mesh, controls, cfg))
     if solved is not None:
         st = solved[0]
         slots = state.derive_slots(mesh, st)
-        h.update(repr(solved[1].residual_history).encode())
-        _step(h, "cost", lambda: forward.eval_cost(problem, mesh, st, slots, controls))
+        _step(lines, "cost", lambda: forward.eval_cost(problem, mesh, st, slots, controls))
         co = _step(
-            h, "costate",
+            lines, "costate",
             lambda: adjoint.solve_costate(problem, mesh, st, slots, controls, cfg),
         )
         if co is not None:
-            h.update(repr(co[1].residual_history).encode())
-            _step(h, "gradient", lambda: adjoint.control_gradient(
+            _step(lines, "gradient", lambda: adjoint.control_gradient(
                 problem, mesh, st, slots, controls, co[0]).__dict__)
-            _step(h, "hamiltonian", lambda: adjoint.hamiltonian_report(
-                problem, mesh, st, slots, controls, co[0]))
-    _step(h, "dto", lambda: verify.dto_solve(problem, mesh, controls, cfg).grad.__dict__)
-    _step(h, "partials", lambda: kernels.validate_partials(problem, probes=3).entries)
-    return h.hexdigest()
+    _step(lines, "dto", lambda: verify.dto_solve(problem, mesh, controls, cfg).grad.__dict__)
+    _step(lines, "partials", lambda: kernels.validate_partials(problem, probes=3).entries)
+    return lines
 
 
 def main() -> None:
     for name in models.MODEL_NAMES:
-        print(f"{name} {model_digest(name)}")
+        for step, digest in model_digest(name):
+            print(f"{name} {step} {digest}")
 
 
 if __name__ == "__main__":
