@@ -44,8 +44,6 @@ from .kernels import (
 from .mesh import (
     CurveMesh,
     Mesh,
-    StencilKind,
-    apply_stencil,
     build_curve_mesh,
     build_mesh,
     curve_diff,
@@ -64,12 +62,9 @@ from .state import (
     ControlBundle,
     CoStateBundle,
     DerivedSlots,
-    FlatIndex,
     StateBundle,
     derive_slots,
-    flat_index,
     pack,
-    unpack,
     zero_controls,
     zero_costate,
     zero_state,

@@ -8,9 +8,10 @@ refine.  All outputs are CSV files, byte-identical across runs for a
 fixed config and seed.
 
 Exit status: 0 on success (and a passing grad-check), 1 for a failing
-grad-check, 2 for config errors, 3 for solver failures.  optimize exits 0
-whatever its stop reason, `line_search_failed` included; it prints the
-status instead, then its line-search trials and solved members.
+grad-check, 2 for config errors and an unusable output directory, 3 for
+solver failures.  optimize exits 0 whatever its stop reason,
+`line_search_failed` included; it prints the status instead, then its
+line-search trials and solved members.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .state import (
 )
 from .verify import (
     _TIGHT,
+    _refined,
     gradient_check,
     ibp_residual,
     refinement_study,
@@ -410,14 +412,9 @@ def _cmd_optimize(spec: RunSpec, outdir: Path, seed: int) -> int:
 
 def _cmd_ibp_demo(spec: RunSpec, outdir: Path, seed: int) -> int:
     rows = []
+    base = build_mesh(**spec.mesh)
     for level in range(3):
-        mesh = build_mesh(
-            spec.mesh["T_final"],
-            spec.mesh["Nt"] * 2**level,
-            spec.mesh["x_a"],
-            spec.mesh["x_b"],
-            spec.mesh["Nx"] * 2**level,
-        )
+        mesh = _refined(base, 2**level)
         A, A2, dphi = _ibp_test_fields(mesh)
         r1, r2 = ibp_residual(mesh, A, A2, dphi)
         rows.append((level, mesh.Nt, mesh.Nx, r1, r2))
@@ -492,7 +489,10 @@ def run(spec: RunSpec, subcommand: str, out_dir: str = None, seed: int = 0) -> i
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     outdir = Path(out_dir if out_dir is not None else spec.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     return _COMMANDS[subcommand](spec, outdir, seed)
 
 

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the check of a whole-number count."""
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -19,3 +21,11 @@ class KernelEvalError(RuntimeError):
 
 class SingularSystemError(RuntimeError):
     """The discrete fixed point is not well posed (singular Jacobian)."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ConfigError unless value is a whole number of at least least."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")

@@ -36,13 +36,12 @@ inputs give bitwise-identical results.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, KernelEvalError, ShapeError
+from .errors import ConfigError, DivergenceError, KernelEvalError, ShapeError, check_count
 from .kernels import (
     TERMS,
     Problem,
@@ -79,10 +78,7 @@ class SolverConfig:
             raise ConfigError(f"relax must lie in (0, 1], got {self.relax}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iter, numbers.Integral):
-            raise ConfigError(f"max_iter must be a whole number, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
+        check_count("max_iter", self.max_iter, 1)
         if not (math.isfinite(self.divergence_guard) and self.divergence_guard > 0):
             raise ConfigError(
                 f"divergence_guard must be positive and finite, "

@@ -47,7 +47,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigError, KernelEvalError, ShapeError
+from .errors import ConfigError, KernelEvalError, ShapeError, check_count
 from .mesh import Mesh
 from .state import (
     CONTROL_BLOCKS,
@@ -616,8 +616,7 @@ def validate_partials(problem: Problem, probes: int = 8, seed: int = 0) -> Parti
     The report lists the max relative error per (term, slot); it passes
     iff every entry is at or below PARTIALS_TOL.
     """
-    if probes < 1:
-        raise ConfigError("probes must be at least 1")
+    check_count("probes", probes, 1)
     rng = np.random.default_rng(seed)
     entries = []
     for name, term in problem.terms.items():

@@ -8,13 +8,12 @@ the two endpoint values (counting measure).
 
 Stencils are second order everywhere: centered three-point formulas at
 interior nodes and one-sided three/four-point formulas at the four grid
-edges.  The mixed stencil Dtx is defined as an exact composition, Dt
-applied after Dx, so composed and direct application agree bitwise.
+edges.  Each is a dense matrix that `apply_axis` applies along one axis of
+a node field; a mixed derivative is two such passes.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,13 +24,6 @@ from .errors import ConfigError, ShapeError
 
 LEFT, RIGHT = 0, 1
 NORMALS = (-1.0, 1.0)
-
-
-class StencilKind(enum.Enum):
-    Dt = "Dt"
-    Dx = "Dx"
-    Dxx = "Dxx"
-    Dtx = "Dtx"
 
 
 def _diff1_matrix(m: int, h: float) -> np.ndarray:
@@ -194,29 +186,6 @@ def apply_axis(matrix: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
     moved = np.moveaxis(field, axis, 0)
     out = np.tensordot(matrix, moved, axes=(1, 0))
     return np.moveaxis(out, 0, axis)
-
-
-def apply_stencil(mesh: Mesh, kind: StencilKind, field: np.ndarray) -> np.ndarray:
-    """Apply one of the difference operators to a (t, x, ...) node field.
-
-    Dtx is computed by composition, Dt pass after the Dx pass, so it
-    agrees bitwise with the explicit two-step application.
-    """
-    field = np.asarray(field, dtype=float)
-    if field.ndim < 2 or field.shape[0] != mesh.Nt + 1 or field.shape[1] != mesh.Nx + 1:
-        raise ShapeError(
-            f"field shape {field.shape} does not match grid "
-            f"({mesh.Nt + 1}, {mesh.Nx + 1}, ...)"
-        )
-    if kind == StencilKind.Dt:
-        return apply_axis(mesh.d1_t, field, 0)
-    if kind == StencilKind.Dx:
-        return apply_axis(mesh.d1_x, field, 1)
-    if kind == StencilKind.Dxx:
-        return apply_axis(mesh.d2_x, field, 1)
-    if kind == StencilKind.Dtx:
-        return apply_axis(mesh.d1_t, apply_axis(mesh.d1_x, field, 1), 0)
-    raise ConfigError(f"unknown stencil kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ accepted, so the result is bit for bit that of the sequential search.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat, takewhile
 from operator import mul
@@ -26,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from .adjoint import control_gradient, gradient_norm2, partial_cache, solve_costate
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_count
 from .forward import SolverConfig, eval_cost, member_chunks, solve_forward, solve_forward_many
 from .kernels import Problem
 from .mesh import Mesh
@@ -53,10 +52,7 @@ class OptimizeOptions:
             raise ConfigError(f"step0 must be positive and finite, got {self.step0}")
         if not (math.isfinite(self.gtol) and self.gtol >= 0):
             raise ConfigError(f"gtol must be non-negative and finite, got {self.gtol}")
-        if not isinstance(self.max_outer, numbers.Integral):
-            raise ConfigError(f"max_outer must be a whole number, got {self.max_outer!r}")
-        if self.max_outer < 0:
-            raise ConfigError(f"max_outer must be non-negative, got {self.max_outer}")
+        check_count("max_outer", self.max_outer, 0)
 
 
 @dataclass

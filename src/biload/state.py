@@ -154,6 +154,9 @@ class _Bundle:
     def blocks(self) -> tuple:
         return tuple(getattr(self, name) for name in self.names)
 
+    def shapes(self) -> tuple:
+        return tuple(b.shape for b in self.blocks())
+
     def named(self) -> tuple:
         """(block name, layout, array) for each block."""
         return tuple(zip(self.names, LAYOUTS, self.blocks()))
@@ -172,10 +175,6 @@ class StateBundle(_Bundle):
     phi0_bd: np.ndarray  # (2, n)
     phiT_bd: np.ndarray  # (2, n)
 
-    @property
-    def n(self) -> int:
-        return self.phi.shape[2]
-
 
 @dataclass
 class ControlBundle(_Bundle):
@@ -186,14 +185,6 @@ class ControlBundle(_Bundle):
     uT: np.ndarray  # (Nx+1, m_u)
     w0: np.ndarray  # (2, m_w)
     wT: np.ndarray  # (2, m_w)
-
-    @property
-    def m_u(self) -> int:
-        return self.u.shape[2]
-
-    @property
-    def m_w(self) -> int:
-        return self.w.shape[2]
 
 
 @dataclass
@@ -293,30 +284,6 @@ def derive_slots(mesh: Mesh, state: StateBundle) -> DerivedSlots:
     return DerivedSlots(mesh, state)
 
 
-@dataclass(frozen=True)
-class FlatIndex:
-    """Deterministic bijection between the six blocks of a bundle and a
-    flat coordinate range.
-
-    Blocks follow the layout table's order, each flattened in C order
-    (phi: t-major, then x, then component).  dims holds the component
-    count of each block.
-    """
-
-    Nt: int
-    Nx: int
-    dims: tuple
-    bundle: type = StateBundle
-
-    @property
-    def shapes(self):
-        return block_shapes(self.Nt, self.Nx, self.dims)
-
-    @property
-    def total(self) -> int:
-        return flat_spans(self.shapes)[-1][1]
-
-
 @functools.lru_cache(maxsize=256)
 def flat_spans(shapes: tuple) -> tuple:
     """(start, stop, shape) of each block of these shapes in one flat vector."""
@@ -337,25 +304,10 @@ def bundle_of(cls: type, flat: np.ndarray, shapes: tuple) -> _Bundle:
 
 def stack(bundles: list) -> _Bundle:
     """One bundle over a 2-D flat holding the given bundles as its rows."""
-    shapes = tuple(b.shape for b in bundles[0].blocks())
-    return bundle_of(type(bundles[0]), np.stack([pack(b) for b in bundles]), shapes)
-
-
-def flat_index(mesh: Mesh, n: int) -> FlatIndex:
-    return FlatIndex(Nt=mesh.Nt, Nx=mesh.Nx, dims=(n,) * len(LAYOUTS))
-
-
-def control_index(mesh: Mesh, m_u: int, m_w: int) -> FlatIndex:
-    dims = tuple(L.control_dim(m_u, m_w) for L in LAYOUTS)
-    return FlatIndex(Nt=mesh.Nt, Nx=mesh.Nx, dims=dims, bundle=ControlBundle)
+    return bundle_of(type(bundles[0]), np.stack([pack(b) for b in bundles]), bundles[0].shapes())
 
 
 def pack(bundle: _Bundle) -> np.ndarray:
+    """The blocks in table order, each flattened in C order, as one vector."""
     return np.concatenate([b.ravel() for b in bundle.blocks()])
 
-
-def unpack(idx: FlatIndex, flat: np.ndarray):
-    flat = np.asarray(flat, dtype=float)
-    if flat.shape != (idx.total,):
-        raise ShapeError(f"expected flat length {idx.total}, got {flat.shape}")
-    return bundle_of(idx.bundle, flat, idx.shapes)

@@ -32,7 +32,7 @@ from .adjoint import (
     partial_cache,
     solve_costate,
 )
-from .errors import ConfigError, DivergenceError, SingularSystemError
+from .errors import ConfigError, DivergenceError, SingularSystemError, check_count
 from .forward import (
     SolverConfig,
     eval_cost,
@@ -42,19 +42,18 @@ from .forward import (
     sweep_map,
 )
 from .kernels import Problem
-from .mesh import CurveMesh, Mesh, StencilKind, apply_stencil, curve_diff
+from .mesh import CurveMesh, Mesh, apply_axis, build_mesh, curve_diff
 from .state import (
     CONTROL_BLOCKS,
     LAYOUT,
+    LAYOUTS,
     ControlBundle,
     CoStateBundle,
     StateBundle,
+    block_shapes,
     bundle_of,
-    control_index,
     derive_slots,
-    flat_index,
     pack,
-    unpack,
     zero_controls,
 )
 
@@ -137,17 +136,24 @@ def fd_directional(
 CS_STEP = 2.0**-100
 
 
-def _linearized_columns(problem, mesh, index, base, at):
+def _unknowns(problem: Problem, mesh: Mesh) -> int:
+    """Entries of the six state blocks: the dense oracle's matrix size."""
+    return sum(map(math.prod, block_shapes(mesh.Nt, mesh.Nx, (problem.n,) * len(LAYOUTS))))
+
+
+def _linearized_columns(problem, mesh, base, at):
     """Image (a row per column) and cost differential of the sweep at every
-    unit vector of index's flat space, batched per member chunk, by complex
-    step: sweep_map and eval_cost run at the members base + i*CS_STEP*unit,
-    and at(members) gives the (state, controls) to run them at."""
+    unit vector of the bundle base's flat space, batched per member chunk,
+    by complex step: sweep_map and eval_cost run at the members
+    pack(base) + i*CS_STEP*unit, and at(members) gives the (state,
+    controls) to run them at."""
+    real = pack(base)
     images, costs = [], []
-    for rows in member_chunks(problem, mesh, index.total, itemsize=16):
-        flat = np.zeros((len(rows), index.total), complex)
-        flat.real = base
+    for rows in member_chunks(problem, mesh, real.size, itemsize=16):
+        flat = np.zeros((len(rows), real.size), complex)
+        flat.real = real
         flat.imag[range(len(rows)), rows] = CS_STEP
-        state, controls = at(bundle_of(index.bundle, flat, index.shapes))
+        state, controls = at(bundle_of(type(base), flat, base.shapes()))
         slots = derive_slots(mesh, state)
         images.append(sweep_map(problem, mesh, state, controls, slots).flat.imag / CS_STEP)
         cost = eval_cost(problem, mesh, state, slots, controls)
@@ -179,18 +185,17 @@ def dto_solve(
     included).  The kernel bodies must be complex-analytic in the slot
     values, as every builtin is; the hand-written partials play no part.
     """
-    idx = flat_index(mesh, problem.n)
-    if idx.total > DTO_SIZE_CAP:
+    total = _unknowns(problem, mesh)
+    if total > DTO_SIZE_CAP:
         raise ConfigError(
-            f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {idx.total}"
+            f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {total}"
         )
     solved = solve_forward(problem, mesh, controls, cfg or _TIGHT)
     state = _solved_state(solved, " for the dense oracle")
 
-    cidx = control_index(mesh, problem.m_u, problem.m_w)
-    images, dJdPhi = _linearized_columns(problem, mesh, idx, pack(state), lambda s: (s, controls))
-    A = np.ascontiguousarray(images.T) - np.eye(idx.total)
-    images, dJdU = _linearized_columns(problem, mesh, cidx, pack(controls), lambda c: (state, c))
+    images, dJdPhi = _linearized_columns(problem, mesh, state, lambda s: (s, controls))
+    A = np.ascontiguousarray(images.T) - np.eye(total)
+    images, dJdU = _linearized_columns(problem, mesh, controls, lambda c: (state, c))
     B = np.ascontiguousarray(images.T)
 
     try:
@@ -201,8 +206,8 @@ def dto_solve(
         ) from exc
     grad_flat = dJdU + B.T @ lam
     return DtoResult(
-        grad=ControlGradient(*unpack(cidx, grad_flat).blocks()),
-        multipliers=CoStateBundle(*unpack(idx, lam).blocks()),
+        grad=ControlGradient(*bundle_of(ControlBundle, grad_flat, controls.shapes()).blocks()),
+        multipliers=bundle_of(CoStateBundle, lam, state.shapes()),
         state=state,
     )
 
@@ -247,25 +252,25 @@ def ibp_residual(mesh: Mesh, grad_p, grad_p_dot, delta_phi):
     A2 = _as_field(mesh, grad_p_dot)
     dphi = _as_field(mesh, delta_phi)
 
-    dp = apply_stencil(mesh, StencilKind.Dx, dphi)
+    dp = apply_axis(mesh.d1_x, dphi, 1)
     lhs1 = _quad_q(mesh, A * dp)
     bterm1 = _bd_normal_sum(mesh, A * dphi)
-    body1 = _quad_q(mesh, apply_stencil(mesh, StencilKind.Dx, A) * dphi)
+    body1 = _quad_q(mesh, apply_axis(mesh.d1_x, A, 1) * dphi)
     r1 = lhs1 - (bterm1 - body1)
 
-    dpdot = apply_stencil(mesh, StencilKind.Dtx, dphi)
+    dpdot = apply_axis(mesh.d1_t, dp, 0)
     lhs2 = _quad_q(mesh, A2 * dpdot)
     prod = A2 * dphi
     end_walls = float(
         (prod[-1, -1, :].sum() - prod[-1, 0, :].sum())
         - (prod[0, -1, :].sum() - prod[0, 0, :].sum())
     )
-    dxA2 = apply_stencil(mesh, StencilKind.Dx, A2)
+    dxA2 = apply_axis(mesh.d1_x, A2, 1)
     end_slab = dxA2[-1] * dphi[-1] - dxA2[0] * dphi[0]
     end_body = -LAYOUT["initial"].quad(mesh, end_slab, comp="n")
-    dtA2 = apply_stencil(mesh, StencilKind.Dt, A2)
+    dtA2 = apply_axis(mesh.d1_t, A2, 0)
     walls = -_bd_normal_sum(mesh, dtA2 * dphi)
-    body2 = _quad_q(mesh, apply_stencil(mesh, StencilKind.Dtx, A2) * dphi)
+    body2 = _quad_q(mesh, apply_axis(mesh.d1_t, dxA2, 0) * dphi)
     r2 = lhs2 - (end_walls + end_body + walls + body2)
     return float(r1), float(r2)
 
@@ -373,14 +378,13 @@ def gradient_check(
     The dense oracle participates automatically when the grid is inside
     its size cap.  Deterministic for fixed (seed, inputs).
     """
-    if n_dirs < 1:
-        raise ConfigError("n_dirs must be at least 1")
+    check_count("n_dirs", n_dirs, 1)
     if blocks is not None and not blocks:
         raise ConfigError("blocks must name at least one control block")
     cfg = cfg or _TIGHT
     costate_cfg = costate_cfg or cfg
     if use_dto is None:
-        use_dto = flat_index(mesh, problem.n).total <= DTO_SIZE_CAP
+        use_dto = _unknowns(problem, mesh) <= DTO_SIZE_CAP
     dto = dto_solve(problem, mesh, controls, cfg) if use_dto else None
     if dto is not None:
         state = dto.state
@@ -443,8 +447,6 @@ class RefinementTable:
 
 
 def _refined(mesh: Mesh, factor: int) -> Mesh:
-    from .mesh import build_mesh
-
     return build_mesh(
         mesh.T_final, mesh.Nt * factor, mesh.x_a, mesh.x_b, mesh.Nx * factor
     )
@@ -493,8 +495,7 @@ def refinement_study(
 ) -> RefinementTable:
     """Halve dt and dx `levels` times and report the chosen metric with
     observed orders log2(e_k / e_{k+1}), each level at zero controls."""
-    if levels < 3:
-        raise ConfigError("refinement study needs at least 3 levels")
+    check_count("levels", levels, 3)
     if metric not in ("forward_error", "gradient_gap", "ibp_residual"):
         raise ConfigError(f"unknown metric {metric!r}")
     if metric == "forward_error" and reference is None:

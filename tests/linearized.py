@@ -14,10 +14,9 @@ from biload.forward import assemble_sweep
 from biload.kernels import TERMS, forward_contract
 from biload.state import (
     LAYOUT,
-    control_index,
+    bundle_of,
     derive_slots,
-    flat_index,
-    unpack,
+    pack,
     zero_controls,
     zero_state,
 )
@@ -77,17 +76,16 @@ def hand_columns(problem, mesh, state, controls):
     state unit vector, then at every control unit vector: the arrays
     `verify._linearized_columns` returns for the state and the controls."""
     cache = partial_cache(problem, mesh, (state, derive_slots(mesh, state), controls))
-    idx = flat_index(mesh, problem.n)
-    cidx = control_index(mesh, problem.m_u, problem.m_w)
     zctrl = zero_controls(mesh, problem.m_u, problem.m_w)
     zst = zero_state(mesh, problem.n)
     out = []
-    for index, at in ((idx, lambda d: (d, zctrl)), (cidx, lambda d: (zst, d))):
-        images, costs = np.empty((index.total, idx.total)), np.empty(index.total)
-        basis = np.zeros(index.total)
-        for col in range(index.total):
+    for zero, at in ((zst, lambda d: (d, zctrl)), (zctrl, lambda d: (zst, d))):
+        basis = pack(zero)
+        images, costs = np.empty((basis.size, pack(zst).size)), np.empty(basis.size)
+        unit = bundle_of(type(zero), basis, zero.shapes())
+        for col in range(basis.size):
             basis[col] = 1.0
-            image, dtables = linearized_sweep(problem, mesh, cache, *at(unpack(index, basis)))
+            image, dtables = linearized_sweep(problem, mesh, cache, *at(unit))
             images[col], costs[col] = image.flat, linearized_cost(problem, mesh, cache, dtables)
             basis[col] = 0.0
         out += [images, costs]

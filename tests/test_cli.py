@@ -222,6 +222,15 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "heat.cfg"
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(taken)]) == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_non_finite_control_value_is_a_config_error(tmp_path, capsys):
     heat = (Path(__file__).resolve().parents[1] / "configs" / "heat.cfg").read_text()
     for value in ("nan", "inf", "-inf"):

@@ -20,9 +20,7 @@ from biload.mesh import build_mesh
 from biload.state import (
     CONTROL_BLOCKS,
     bundle_of,
-    control_index,
     derive_slots,
-    flat_index,
     pack,
     zero_controls,
 )
@@ -58,11 +56,9 @@ def _solved(name):
 
 def _columns(problem, mesh, state, controls):
     """verify._linearized_columns at the state, then at the controls."""
-    idx = flat_index(mesh, problem.n)
-    cidx = control_index(mesh, problem.m_u, problem.m_w)
     return [
-        *verify._linearized_columns(problem, mesh, idx, pack(state), lambda s: (s, controls)),
-        *verify._linearized_columns(problem, mesh, cidx, pack(controls), lambda c: (state, c)),
+        *verify._linearized_columns(problem, mesh, state, lambda s: (s, controls)),
+        *verify._linearized_columns(problem, mesh, controls, lambda c: (state, c)),
     ]
 
 
@@ -80,14 +76,16 @@ def test_complex_step_columns_match_the_hand_linearization(name):
         assert_agree(name, new, old)
 
 
-def _per_column(problem, mesh, index, base, at):
-    """One unbatched complex sweep and cost per unit vector of index."""
+def _per_column(problem, mesh, base, at):
+    """One unbatched complex sweep and cost per unit vector of the bundle
+    base's flat space."""
     h = verify.CS_STEP
     images, costs = [], []
-    for k in range(index.total):
-        flat = base.astype(complex)
+    real = pack(base)
+    for k in range(real.size):
+        flat = real.astype(complex)
         flat.imag[k] = h
-        st, ct = at(bundle_of(index.bundle, flat, index.shapes))
+        st, ct = at(bundle_of(type(base), flat, base.shapes()))
         slots = derive_slots(mesh, st)
         images.append(sweep_map(problem, mesh, st, ct, slots).flat.imag / h)
         costs.append(np.imag(eval_cost(problem, mesh, st, slots, ct)) / h)
@@ -97,11 +95,9 @@ def _per_column(problem, mesh, index, base, at):
 @pytest.mark.parametrize("name", models.MODEL_NAMES)
 def test_batched_columns_match_one_complex_sweep_per_column(monkeypatch, name):
     problem, mesh, state, controls, _ = _solved(name)
-    idx = flat_index(mesh, problem.n)
-    cidx = control_index(mesh, problem.m_u, problem.m_w)
     want = [
-        *_per_column(problem, mesh, idx, pack(state), lambda s: (s, controls)),
-        *_per_column(problem, mesh, cidx, pack(controls), lambda c: (state, c)),
+        *_per_column(problem, mesh, state, lambda s: (s, controls)),
+        *_per_column(problem, mesh, controls, lambda c: (state, c)),
     ]
     for budget in (forward.BATCH_BYTES, 40_000):  # one chunk, then several
         monkeypatch.setattr(forward, "BATCH_BYTES", budget)

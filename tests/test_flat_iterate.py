@@ -19,10 +19,9 @@ from biload.mesh import build_mesh
 from biload.state import (
     LAYOUTS,
     StateBundle,
+    bundle_of,
     derive_slots,
-    flat_index,
     pack,
-    unpack,
     zero_controls,
     zero_state,
 )
@@ -136,11 +135,8 @@ def test_flat_loop_matches_blockwise_oracle(monkeypatch, name, relax):
 @pytest.mark.parametrize("relax", [1.0, 0.5])
 @pytest.mark.parametrize("with_flat", [True, False])
 def test_divergence_names_the_first_block_like_the_oracle(relax, with_flat):
-    idx = flat_index(MESH, 2)
-
     def sweep(x):
-        flat = np.zeros(idx.total)
-        image = unpack(idx, flat)
+        image = bundle_of(StateBundle, np.zeros(pack(x).size), x.shapes())
         image.phiT[2, 1] = 1e12  # two blocks past the guard: phiT comes first
         image.phiT_bd[0, 0] = -1e12
         return image if with_flat else StateBundle(*image.blocks())
@@ -155,7 +151,7 @@ def test_divergence_names_the_first_block_like_the_oracle(relax, with_flat):
 def test_assembled_blocks_are_views_of_the_flat_image():
     params, problem, controls = _model("biload_demo")
     image = sweep_map(problem, MESH, zero_state(MESH, problem.n), controls)
-    assert image.flat.shape == (flat_index(MESH, problem.n).total,)
+    assert image.flat.shape == pack(zero_state(MESH, problem.n)).shape
     assert all(np.shares_memory(block, image.flat) for block in image.blocks())
     assert pack(image).tobytes() == image.flat.tobytes()
     # the flat vector is not part of the bundle's repr or equality

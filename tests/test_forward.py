@@ -273,9 +273,9 @@ def test_residual_flat_at_analytic_solution():
     r = residual_flat(prob, mesh, state, ctrl)
     # quadrature error only on interior columns; wall and trace rows are
     # exactly consistent with the absent boundary kernels
-    from biload.state import flat_index, unpack
+    from biload.state import StateBundle, bundle_of
 
-    defect = unpack(flat_index(mesh, 1), r)
+    defect = bundle_of(StateBundle, r, state.shapes())
     assert np.max(np.abs(defect.phi[:, 1:-1, :])) <= 1e-4
 
 

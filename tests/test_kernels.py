@@ -515,6 +515,11 @@ def test_validate_partials_needs_probes():
         validate_partials(PROBLEM, probes=0)
 
 
+def test_validate_partials_rejects_a_fractional_probe_count():
+    with pytest.raises(ConfigError, match="probes must be a whole number, got 2.5"):
+        validate_partials(PROBLEM, probes=2.5)
+
+
 def test_full_table_partials_validate():
     report = validate_partials(PROBLEM, probes=3, seed=5)
     assert report.passed, [e for e in report.entries if not e[3]]

@@ -23,7 +23,7 @@ from biload.adjoint import (
 )
 from biload.forward import SolverConfig, solve_forward, sweep_map
 from biload.kernels import SLOT_FAMILIES, TERMS, Problem, kernel_args
-from biload.mesh import LEFT, RIGHT, StencilKind, apply_axis, apply_stencil, build_mesh
+from biload.mesh import LEFT, RIGHT, apply_axis, build_mesh
 from biload.state import (
     WALL_PAIRS,
     CoStateBundle,
@@ -48,13 +48,13 @@ def _edge(mesh, interior, wall):
 
 def eager_slots(mesh, state):
     """Every derived slot, computed up front."""
-    p = apply_stencil(mesh, StencilKind.Dx, state.phi)
-    q = apply_stencil(mesh, StencilKind.Dxx, state.phi)
+    p = apply_axis(mesh.d1_x, state.phi, 1)
+    q = apply_axis(mesh.d2_x, state.phi, 1)
     p_bd = _edge(mesh, state.phi, state.phi_bd)
     return {
         "p": p,
         "q": q,
-        "phi_dot": apply_stencil(mesh, StencilKind.Dt, state.phi),
+        "phi_dot": np.tensordot(mesh.d1_t, state.phi, axes=(1, 0)),
         "p_dot": np.tensordot(mesh.d1_t, p, axes=(1, 0)),
         "q_dot": np.tensordot(mesh.d1_t, q, axes=(1, 0)),
         "phi_bd_dot": np.tensordot(mesh.d1_t, state.phi_bd, axes=(1, 0)),

@@ -17,16 +17,13 @@ from biload.kernels import Kernel, Problem, eval_kernel, forward_contract
 from biload.mesh import build_mesh
 from biload.state import (
     CONTROL_BLOCKS,
-    ControlBundle,
     StateBundle,
     bundle_of,
-    control_index,
     derive_slots,
-    flat_index,
     node_shape,
     pack,
-    unpack,
     zero_controls,
+    zero_state,
 )
 from linearized import assert_agree, hand_dto
 
@@ -238,10 +235,10 @@ def _member_inputs(problem, mesh, count, seed):
     bundle and as the list of its members."""
     rng = np.random.default_rng(seed)
     out = []
-    for cls, index in ((StateBundle, flat_index(mesh, problem.n)),
-                       (ControlBundle, control_index(mesh, problem.m_u, problem.m_w))):
-        flat = 0.3 * rng.standard_normal((count, index.total))
-        out += [bundle_of(cls, flat, index.shapes), [unpack(index, row.copy()) for row in flat]]
+    for zero in (zero_state(mesh, problem.n), zero_controls(mesh, problem.m_u, problem.m_w)):
+        cls, shapes = type(zero), zero.shapes()
+        flat = 0.3 * rng.standard_normal((count, pack(zero).size))
+        out += [bundle_of(cls, flat, shapes), [bundle_of(cls, row.copy(), shapes) for row in flat]]
     return out
 
 
@@ -265,9 +262,9 @@ def test_fire_radiation_term_keeps_the_raw_path_per_member(monkeypatch):
     problem = models.make_model(models.make_params("forest_fire_minimal"))
     mesh = build_mesh(0.01, 6, 0.0, 1.0, 6)
     rng = np.random.default_rng(4)
-    idx = flat_index(mesh, 1)
-    flat = 0.3 * rng.standard_normal((3, idx.total))
-    batch = bundle_of(StateBundle, flat, idx.shapes)
+    zero = zero_state(mesh, 1)
+    flat = 0.3 * rng.standard_normal((3, pack(zero).size))
+    batch = bundle_of(StateBundle, flat, zero.shapes())
     controls = zero_controls(mesh, problem.m_u, problem.m_w)
     raw = []
     monkeypatch.setattr(
@@ -283,6 +280,6 @@ def test_fire_radiation_term_keeps_the_raw_path_per_member(monkeypatch):
     together = contracted(batch, (3,))
     assert together.shape == (3, 7, 7, 1) and raw == [1]
     for k in range(3):
-        alone = contracted(unpack(idx, flat[k].copy()), ())
+        alone = contracted(bundle_of(StateBundle, flat[k].copy(), zero.shapes()), ())
         assert alone.tobytes() == together[k].tobytes()
     assert len(raw) == 4

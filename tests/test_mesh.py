@@ -3,8 +3,7 @@ import pytest
 
 from biload.errors import ConfigError, ShapeError
 from biload.mesh import (
-    StencilKind,
-    apply_stencil,
+    apply_axis,
     build_curve_mesh,
     build_mesh,
     curve_diff,
@@ -112,15 +111,15 @@ def test_stencils_exact_on_polynomials():
     mesh = build_mesh(1.0, 6, 0.0, 1.0, 6)
     f_x = _grid_field(mesh, lambda t, x: x + 0.0 * t)
     np.testing.assert_allclose(
-        apply_stencil(mesh, StencilKind.Dx, f_x), np.ones_like(f_x), atol=1e-13
+        apply_axis(mesh.d1_x, f_x, 1), np.ones_like(f_x), atol=1e-13
     )
     f_x2 = _grid_field(mesh, lambda t, x: x**2 + 0.0 * t)
     np.testing.assert_allclose(
-        apply_stencil(mesh, StencilKind.Dxx, f_x2), 2.0 * np.ones_like(f_x2), atol=1e-12
+        apply_axis(mesh.d2_x, f_x2, 1), 2.0 * np.ones_like(f_x2), atol=1e-12
     )
     f_tx2 = _grid_field(mesh, lambda t, x: t * x**2)
     np.testing.assert_allclose(
-        apply_stencil(mesh, StencilKind.Dt, apply_stencil(mesh, StencilKind.Dxx, f_tx2)),
+        apply_axis(mesh.d1_t, apply_axis(mesh.d2_x, f_tx2, 1), 0),
         2.0 * np.ones_like(f_tx2),
         atol=1e-12,
     )
@@ -130,23 +129,8 @@ def test_dt_on_sine():
     mesh = build_mesh(1.0, 200, 0.0, 1.0, 4)
     f = _grid_field(mesh, lambda t, x: np.sin(t) + 0.0 * x)
     expected = _grid_field(mesh, lambda t, x: np.cos(t) + 0.0 * x)
-    err = np.max(np.abs(apply_stencil(mesh, StencilKind.Dt, f) - expected))
+    err = np.max(np.abs(apply_axis(mesh.d1_t, f, 0) - expected))
     assert err <= 1e-3
-
-
-def test_mixed_stencils_are_exact_compositions():
-    mesh = build_mesh(1.3, 7, -0.5, 2.0, 9)
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal((mesh.Nt + 1, mesh.Nx + 1, 2))
-    dtx = apply_stencil(mesh, StencilKind.Dtx, f)
-    two_pass = apply_stencil(mesh, StencilKind.Dt, apply_stencil(mesh, StencilKind.Dx, f))
-    assert np.array_equal(dtx, two_pass)
-
-
-def test_apply_stencil_shape_error():
-    mesh = build_mesh(1.0, 4, 0.0, 1.0, 4)
-    with pytest.raises(ShapeError):
-        apply_stencil(mesh, StencilKind.Dx, np.ones((3, 5, 1)))
 
 
 def test_stencil_refinement_order_at_least_two():
@@ -156,7 +140,7 @@ def test_stencil_refinement_order_at_least_two():
         mesh = build_mesh(1.0, 16 * 2**level, 0.0, 1.0, 16 * 2**level)
         f = _grid_field(mesh, lambda t, x: np.sin(2.0 * x + 0.5) * np.cos(t))
         exact = _grid_field(mesh, lambda t, x: 2.0 * np.cos(2.0 * x + 0.5) * np.cos(t))
-        err = np.max(np.abs(apply_stencil(mesh, StencilKind.Dx, f) - exact))
+        err = np.max(np.abs(apply_axis(mesh.d1_x, f, 1) - exact))
         errors.append(err)
     for coarse, fine in zip(errors, errors[1:]):
         assert np.log2(coarse / fine) >= 1.8

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,12 @@ from biload.kernels import SLOT_FAMILIES
 from biload.state import (
     LAYOUTS,
     WALL_PAIRS,
-    CoStateBundle,
-    FlatIndex,
     StateBundle,
+    block_shapes,
+    bundle_of,
     check_state_shapes,
-    control_index,
     derive_slots,
-    flat_index,
     pack,
-    unpack,
     zero_controls,
     zero_costate,
     zero_state,
@@ -108,47 +107,40 @@ def test_derive_slots_shape_mismatch():
 @pytest.mark.parametrize("kind", ["state", "costate", "control"])
 def test_pack_unpack_round_trip_bitwise(kind, m):
     # every bundle kind follows the layout table: block names, zero
-    # shapes, the flat index, and a bitwise pack/unpack round trip
+    # shapes, the block shapes, and a bitwise pack/bundle_of round trip
     if kind == "control":
         m_w = (m + 1) % 4  # u- and w-controls may differ in width
         dims = tuple(m if L.space == "j" else m_w for L in LAYOUTS)
-        zero, idx = zero_controls(MESH, m, m_w), control_index(MESH, m, m_w)
+        zero = zero_controls(MESH, m, m_w)
     elif kind == "costate":
         dims = (m,) * len(LAYOUTS)
-        zero, idx = zero_costate(MESH, m), FlatIndex(MESH.Nt, MESH.Nx, dims, CoStateBundle)
+        zero = zero_costate(MESH, m)
     else:
         dims = (m,) * len(LAYOUTS)
-        zero, idx = zero_state(MESH, m), flat_index(MESH, m)
+        zero = zero_state(MESH, m)
         assert check_state_shapes(MESH, zero) == m
+    shapes = block_shapes(MESH.Nt, MESH.Nx, dims)
     assert type(zero).names == tuple(getattr(L, kind) for L in LAYOUTS)
     nt, nx = MESH.Nt + 1, MESH.Nx + 1
     node_shapes = [(nt, nx), (nt, 2), (nx,), (nx,), (2,), (2,)]
     expected = [s + (d,) for s, d in zip(node_shapes, dims)]
-    assert [b.shape for b in zero.blocks()] == expected == list(idx.shapes)
+    assert [b.shape for b in zero.blocks()] == expected == list(shapes) == list(zero.shapes())
     assert not zero.blocks()[0].any()
     rng = np.random.default_rng(5)
     bundle = type(zero)(*(rng.standard_normal(b.shape) for b in zero.blocks()))
     flat = pack(bundle)
-    assert flat.shape == (idx.total,)
-    again = unpack(idx, flat)
+    assert flat.shape == (sum(math.prod(s) for s in expected),)
+    again = bundle_of(type(zero), flat, shapes)
     assert type(again) is type(bundle)
     for a, b in zip(bundle.blocks(), again.blocks()):
         assert np.array_equal(a, b)
 
 
 def test_pack_zero_bundle_and_length():
-    idx = flat_index(MESH, 2)
     flat = pack(zero_state(MESH, 2))
     nt, nx, n = MESH.Nt + 1, MESH.Nx + 1, 2
     assert flat.shape == (nt * nx * n + 2 * nt * n + 2 * nx * n + 4 * n,)
-    assert idx.total == flat.shape[0]
     assert not flat.any()
-
-
-def test_unpack_rejects_wrong_length():
-    idx = flat_index(MESH, 1)
-    with pytest.raises(ShapeError):
-        unpack(idx, np.zeros(idx.total + 1))
 
 
 def test_wall_pairs_name_every_state_slot():

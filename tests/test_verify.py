@@ -7,6 +7,7 @@ from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_curve_mesh, build_mesh
 from biload.models import make_model, make_params, model_reference, picard_relax_hint
 from biload.state import derive_slots, pack, zero_controls
+from biload import verify
 from biload.verify import (
     dto_solve,
     fd_directional,
@@ -155,6 +156,14 @@ def test_ibp_residuals_vanish_without_fields():
     assert r1 == 0.0 and r2 == 0.0
 
 
+def test_ibp_residual_rejects_a_misshaped_field():
+    good = np.ones((MESH.Nt + 1, MESH.Nx + 1))
+    for bad in (np.ones((MESH.Nt, MESH.Nx + 1)), np.ones((MESH.Nt + 1, MESH.Nx + 2, 1))):
+        for fields in ((bad, good, good), (good, bad, good), (good, good, bad)):
+            with pytest.raises(ConfigError, match="does not match the grid"):
+                ibp_residual(MESH, *fields)
+
+
 def test_ibp_first_identity_exact_on_linears():
     const = np.ones((MESH.Nt + 1, MESH.Nx + 1))
     linear = MESH.x[None, :] * np.ones((MESH.Nt + 1, 1))
@@ -191,6 +200,21 @@ def test_gradient_check_zero_cost_coupling_passes():
     for e in report.entries:
         if e.block != "u":
             assert e.fd == 0.0 and e.adjoint == 0.0
+
+
+def _refuse_solves(monkeypatch):
+    """Make every forward solve of verify fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+    for name in ("solve_forward", "solve_forward_many", "dto_solve"):
+        monkeypatch.setattr(verify, name, refuse)
+
+
+def test_gradient_check_rejects_a_fractional_direction_count(monkeypatch):
+    _refuse_solves(monkeypatch)
+    prob = make_model(make_params("lq_volterra"))
+    with pytest.raises(ConfigError, match="n_dirs must be a whole number, got 2.5"):
+        gradient_check(prob, MESH, zero_controls(MESH, 1, 0), n_dirs=2.5)
 
 
 def test_gradient_check_lq_passes_and_is_deterministic():
@@ -309,6 +333,13 @@ def test_gradient_triangle_two_component_mixed_dims():
     # the wall-inconsistent constant target makes the costate gradient's
     # coarse-mesh wall artifact large here; it only needs to be finite
     assert all(np.isfinite(e.adjoint) for e in report.entries)
+
+
+def test_refinement_study_rejects_a_fractional_level_count(monkeypatch):
+    _refuse_solves(monkeypatch)
+    prob = make_model(make_params("volterra_exp"))
+    with pytest.raises(ConfigError, match="levels must be a whole number, got 3.5"):
+        refinement_study(prob, MESH, 3.5, "gradient_gap")
 
 
 def test_refinement_study_validates_arguments():

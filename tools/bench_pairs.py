@@ -28,7 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bitwise_gate import ROOT, extract
+from bitwise_gate import ROOT, bench_lines, extract
 
 PAIRS = 10
 SECONDS = "30"
@@ -36,12 +36,7 @@ SECONDS = "30"
 
 def run(tree: Path, workload: str, seed: int) -> tuple:
     """(details line, result line) of one benchmark run in tree."""
-    out = subprocess.run(
-        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", SECONDS, "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True,
-    ).stdout
-    details, result = out.strip().splitlines()[-2:]
+    details, result = bench_lines(tree, workload, seed, SECONDS, "0")[-2:]
     return json.loads(details), json.loads(result)
 
 

@@ -31,6 +31,15 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def bench_lines(tree: Path, workload: str, seed: int, seconds: str, trace: str) -> list:
+    """The output lines of one ``perfbench/run.py`` run of workload in tree."""
+    return subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", seconds, "--trace", trace],
+        cwd=tree, check=True, capture_output=True, text=True,
+    ).stdout.strip().splitlines()
+
+
 def _outputs(tree: Path, out: Path) -> dict:
     """Relative path -> bytes of everything the two tools write for tree."""
     digest = subprocess.run(

@@ -13,24 +13,18 @@ rose or a run was not correct, 0 otherwise.
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from bitwise_gate import ROOT, extract
+from bitwise_gate import ROOT, bench_lines, extract
 
 SECONDS = "3"
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:
     """The last line of one benchmark run in tree: correct, attempted, failed."""
-    out = subprocess.run(
-        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", SECONDS, "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True,
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return json.loads(bench_lines(tree, workload, seed, SECONDS, "0")[-1])
 
 
 def worse(old: dict, new: dict) -> bool:

@@ -13,24 +13,18 @@ when any of them differs, 0 when all agree.
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from bitwise_gate import ROOT, extract
+from bitwise_gate import ROOT, bench_lines, extract
 
 SECONDS = "10"
 
 
 def counts(tree: Path, workload: str, names: list) -> dict:
     """The named per-layer metrics of one traced benchmark run in tree."""
-    out = subprocess.run(
-        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", "0", "--seconds", SECONDS, "--trace", "1"],
-        cwd=tree, check=True, capture_output=True, text=True,
-    ).stdout
-    metrics = json.loads(out.strip().splitlines()[-1])["metrics"]
+    metrics = json.loads(bench_lines(tree, workload, 0, SECONDS, "1")[-1])["metrics"]
     return {name: metrics[name]["value"] for name in names}
 
 
