@@ -24,7 +24,7 @@ summation by parts.  In one space dimension every tangential term
 vanishes; only the normal contractions with n = -1, +1 survive.
 
 Because the slot partials contain the costates inside running integrals,
-the system is solved as a global fixed point with the same relaxed Picard
+the system is solved as a global fixed point with the same accelerated
 machinery as the forward pass, endpoint rows included (one-sided stencils
 realize the endpoint limits).
 """
@@ -199,9 +199,9 @@ def solve_costate(
     cfg: SolverConfig = None,
     cache: dict = None,
 ):
-    """Relaxed Picard solution of the coupled costate fixed point at a
-    (converged) state snapshot.  Starts from zero costates.  cache, when
-    given, is the partial_cache of this snapshot."""
+    """Fixed-point solution (forward.fixed_point) of the coupled costate
+    system at a (converged) state snapshot.  Starts from zero costates.
+    cache, when given, is the partial_cache of this snapshot."""
     if cache is None:
         cache = partial_cache(problem, mesh, (state, slots, controls))
     produced = {slot for _, slot in cache}

@@ -483,11 +483,14 @@ _COMMANDS = {
 
 
 def run(spec: RunSpec, subcommand: str, out_dir: str = None, seed: int = 0) -> int:
-    """Execute one subcommand; returns the process exit status."""
+    """Execute one subcommand; returns the process exit status.  The
+    controls are laid on the model's blocks before the output directory is
+    made, so a config error there leaves nothing behind."""
     if subcommand not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    build_controls(spec, build_mesh(**spec.mesh), make_model(spec.model))
     outdir = Path(out_dir if out_dir is not None else spec.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -6,28 +6,29 @@ re-evaluated from the previous iterate (Jacobi style), after which the
 boundary columns of the trajectory are overwritten with the boundary-trace
 block so the two unknowns agree at the walls.
 
-`fixed_point` runs relaxed Picard iteration for any six-block bundle:
-successive sweep images are under-relaxed by the factor `relax`, the
-reported residual is the sup distance between an iterate and its sweep
-image measured before relaxation, and an iterate leaving the divergence
-guard raises with the offending block's name.  `solve_forward` drives it
-with `sweep_map`, `adjoint.solve_costate` with the costate sweep.
+`fixed_point` runs Anderson-accelerated relaxed Picard iteration for any
+six-block bundle: each sweep image is under-relaxed by the factor `relax`
+and corrected by damped type-II Anderson acceleration over the last
+`ANDERSON_DEPTH` steps (depth 0 is plain relaxed Picard), the reported
+residual is the sup distance between an iterate and its sweep image, and
+an iterate leaving the divergence guard raises with the offending block's
+name.  `solve_forward` drives it with `sweep_map`, `adjoint.solve_costate`
+with the costate sweep.
 
 The iterate and the sweep image are flat vectors (`state.pack` order):
 `assemble_sweep` fills its six blocks as views of the image's `flat`, and
 a costate image is packed once.  An iteration takes one residual, one
-relaxation and one guard test over the whole vector, elementwise and so
-with the bits of the blockwise loop; the blocks are walked only to name
-the one that left the guard.
+relaxation, one Anderson correction and one guard test over the whole
+vector; the blocks are walked only to name the one that left the guard.
 
 `solve_forward_many` iterates independent solves together: the flat is
 2-D, a member per row, and blocks, slots, kernel values and contractions
 carry the member axis in front (stencils count axes from the end, einsums
-take it as "...").  Each member has its own residual, relaxation and
-history, and leaves the active set once it converges; its bits are those
-of its own `solve_forward`, which passes no member axis.  `sweep_map` and
-`eval_cost` keep the dtype of their inputs, so the dense oracle runs them
-on complex members (`verify.dto_solve`).
+take it as "...").  Each member has its own residual, relaxation,
+Anderson history and report, and leaves the active set once it converges;
+its bits are those of its own `solve_forward`, which passes no member
+axis.  `sweep_map` and `eval_cost` keep the dtype of their inputs, so the
+dense oracle runs them on complex members (`verify.dto_solve`).
 
 Starting from the zero bundle, the iteration is deterministic: identical
 inputs give bitwise-identical results.
@@ -45,6 +46,7 @@ from .errors import ConfigError, DivergenceError, KernelEvalError, ShapeError, c
 from .kernels import (
     TERMS,
     Problem,
+    _stationary,
     check_finite,
     eval_kernel,
     forward_contract,
@@ -62,6 +64,7 @@ from .state import (
     node_shape,
     pack,
     stack,
+    zero_controls,
     zero_state,
 )
 
@@ -143,13 +146,48 @@ def _member_axes(state: StateBundle, controls: ControlBundle) -> tuple:
     return lead if lead == other else np.broadcast_shapes(lead, other)
 
 
+#: Depth m of the Anderson acceleration in fixed_point: each step mixes the
+#: last m sweep differences.  0 is relaxed Picard, kept as the test oracle.
+ANDERSON_DEPTH = 5
+
+#: Shift of the diagonal of each member's Anderson Gram matrix, relative to
+#: its largest diagonal entry, with the smallest normal number added so an
+#: all-zero history is shifted too: the least shift at rounding level that
+#: makes the matrix positive definite, so a singular history gives that
+#: member finite coefficients and never fails the stacked solve of the
+#: other members.
+GRAM_SHIFT = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _anderson_correction(f, dF, dP):
+    """dP g for each member, a row of the residuals f, where g minimises
+    |f - dF g|: the type-II Anderson correction to the relaxed sweep image,
+    the k columns of dF and dP (members, k, n) the differences of successive
+    residuals and relaxed images.  g solves the normal equations, their
+    Gram matrix shifted by GRAM_SHIFT.  Each member's reductions run over
+    its own rows, so its bits do not depend on the batch it is in."""
+    gram = np.einsum("bin,bjn->bij", dF, dF)
+    diag = np.einsum("bii->bi", gram)  # a writable view
+    diag += GRAM_SHIFT * diag.max(axis=1, keepdims=True) + _TINY
+    gamma = np.linalg.solve(gram, np.einsum("bin,bn->bi", dF, f)[..., None])
+    return np.einsum("bi,bin->bn", gamma[..., 0], dP)
+
+
 def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):
-    """Relaxed Picard iteration x <- (1 - relax) x + relax sweep(x) from
+    """Anderson-accelerated relaxed Picard iteration for x = sweep(x) from
     the bundle x0.  Returns (bundle, SolveReport).
 
-    Non-convergence within max_iter is reported, not raised; an iterate
-    leaving the divergence guard raises, naming the block (label prefixes
-    the message).
+    Each step takes the relaxed image p = (1 - relax) x + relax sweep(x)
+    and subtracts its Anderson correction (_anderson_correction) over the
+    last ANDERSON_DEPTH steps: damped type-II Anderson acceleration with
+    damping relax.  With an empty history, the first step and every step
+    at depth 0, the step is p, relaxed Picard.
+
+    The reported residual is the sup distance between an iterate and its
+    sweep image.  Non-convergence within max_iter is reported, not raised;
+    an iterate leaving the divergence guard raises, naming the block (label
+    prefixes the message).
 
     When x0's flat is 2-D (a member per row, see the module docstring),
     sweep(x, *operands) gets the active members and their rows of the
@@ -161,16 +199,24 @@ def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):
     shapes = tuple(block.shape[many:] for block in x0.blocks())
     rows = list(range(len(xf) if many else 1))  # members still iterating
     histories, final = [[] for _ in rows], {}
-    theta, guard = cfg.relax, cfg.divergence_guard
-    for _ in range(cfg.max_iter):
+    theta, guard, depth = cfg.relax, cfg.divergence_guard, ANDERSON_DEPTH
+    # each member's last depth differences of residuals and relaxed images
+    dF = np.empty((len(rows), depth, xf.shape[-1]), xf.dtype)
+    dP = np.empty_like(dF)
+    for it in range(cfg.max_iter):
         target = sweep(x, *operands)
         tf = pack(target) if target.flat is None else target.flat
-        residual = np.atleast_1d(np.max(np.abs(tf - xf), axis=-1)).tolist()
-        if theta == 1.0:
-            x, xf = target, tf
-        else:
-            xf = (1.0 - theta) * xf + theta * tf
-            x = bundle_of(cls, xf, shapes)
+        f = tf - xf
+        residual = np.atleast_1d(np.max(np.abs(f), axis=-1)).tolist()
+        relaxed = tf if theta == 1.0 else (1.0 - theta) * xf + theta * tf
+        xf = relaxed
+        if depth and it:
+            slot, k = (it - 1) % depth, min(it, depth)
+            dF[:, slot], dP[:, slot] = f - f_prev, relaxed - p_prev
+            correction = _anderson_correction(np.atleast_2d(f), dF[:, :k], dP[:, :k])
+            xf = relaxed - correction.reshape(f.shape)
+        f_prev, p_prev = f, relaxed
+        x = target if xf is tf else bundle_of(cls, xf, shapes)
         if not np.all(np.abs(xf) <= guard):
             name = next(n for n, _, b in x.named() if b.size and not np.all(np.abs(b) <= guard))
             raise DivergenceError(
@@ -186,7 +232,7 @@ def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):
             rows = [r for r, k in zip(rows, keep) if k]
             cut = lambda b: bundle_of(type(b), b.flat[keep], tuple(a.shape[1:] for a in b.blocks()))
             x, operands = cut(x), [cut(op) for op in operands]
-            xf = x.flat
+            xf, f_prev, p_prev, dF, dP = x.flat, f_prev[keep], p_prev[keep], dF[keep], dP[keep]
     final.update(zip(rows, xf if many else [xf]))
     out = [(bundle_of(cls, final[r], shapes), SolveReport(len(h), h[-1], h[-1] <= cfg.tol, h))
            for r, h in enumerate(histories)]
@@ -199,7 +245,7 @@ def solve_forward(
     controls: ControlBundle,
     cfg: SolverConfig = None,
 ):
-    """Picard iteration from the zero bundle (see fixed_point)."""
+    """Fixed-point iteration from the zero bundle (see fixed_point)."""
     return fixed_point(
         lambda state: sweep_map(problem, mesh, state, controls),
         zero_state(mesh, problem.n),
@@ -215,9 +261,25 @@ BATCH_BYTES = 1 << 18
 def member_chunks(problem: Problem, mesh: Mesh, count: int, itemsize: int = 8) -> list:
     """Ranges splitting count members into chunks within BATCH_BYTES, for
     term arrays of itemsize bytes per value (16 for complex members)."""
-    sizes = [math.prod(node_shape(TERMS[k].full, mesh.Nt, mesh.Nx)) for k in problem.kernels]
+    sizes = [_built_size(problem, mesh, k) for k in problem.kernels]
     size = max(1, BATCH_BYTES // (itemsize * problem.n * max(sizes, default=1)))
     return [range(a, min(a + size, count)) for a in range(0, count, size)]
+
+
+def _built_size(problem: Problem, mesh: Mesh, kid: str) -> int:
+    """Values per member and component of the array a sweep builds for a
+    kernel: its full consumer x producer grid, or that grid without the
+    consumer time for a term that kernels.forward_contract contracts from
+    its raw array, as the kernel's value at the zero state shows."""
+    shape = TERMS[kid]
+    axis, full = shape.stationary_axis, shape.full
+    if axis is not None:
+        state = zero_state(mesh, problem.n)
+        controls = zero_controls(mesh, problem.m_u, problem.m_w)
+        F = eval_kernel(problem, kid, mesh, (state, derive_slots(mesh, state), controls))
+        if _stationary(shape, F):
+            full = full[:axis] + full[axis + 1:]
+    return math.prod(node_shape(full, mesh.Nt, mesh.Nx))
 
 
 def solve_forward_many(problem: Problem, mesh: Mesh, controls_list, cfg: SolverConfig = None):

@@ -258,10 +258,13 @@ def test_control_only_cost_gradient_is_direct():
     np.testing.assert_allclose(grad.g_u, 2.0 * ctrl.u, atol=1e-12)
 
 
-def test_costate_divergence_guard():
+def test_costate_divergence_guard(monkeypatch):
+    from biload import forward
     from biload.errors import DivergenceError
 
-    # instantaneous self-coupling with gain 3: the costate sweep explodes
+    # instantaneous self-coupling with gain 3: the relaxed Picard costate
+    # sweep explodes (Anderson would solve this affine map at once)
+    monkeypatch.setattr(forward, "ANDERSON_DEPTH", 0)
     prob = Problem(
         n=1,
         m_u=0,
@@ -281,7 +284,42 @@ def test_costate_divergence_guard():
         solve_costate(prob, MESH, state, slots, ctrl, SolverConfig(max_iter=500))
 
 
-def test_costate_non_convergence_is_reported():
+def _translating_costate():
+    """Self-coupling with gain one: the costate sweep adds the same cost
+    gradient each time, a map with no fixed point whose Anderson history
+    has singular Gram matrices.  The arguments of solve_costate before cfg."""
+    prob = Problem(
+        n=1,
+        m_u=0,
+        m_w=0,
+        kernels={"f0": Kernel(fn=lambda a: a.phi, partials={"phi": lambda a: 1.0})},
+        cost_F1=CostTerm(
+            fn=lambda a: (a.phi**2).sum(-1), partials={"phi": lambda a: 2.0 * a.phi}
+        ),
+    )
+    state = zero_state(MESH, 1)
+    state.phi[:] = 1.0
+    return prob, MESH, state, derive_slots(MESH, state), zero_controls(MESH, 0, 0)
+
+
+def test_costate_without_fixed_point_leaves_the_guard_under_anderson():
+    from biload.errors import DivergenceError
+
+    with pytest.raises(DivergenceError, match="psi"):
+        solve_costate(*_translating_costate(), SolverConfig(max_iter=500, divergence_guard=1.0))
+
+
+def test_costate_without_fixed_point_reports_non_convergence_under_anderson():
+    _, rep = solve_costate(*_translating_costate(), SolverConfig(max_iter=6))
+    assert not rep.converged
+    assert rep.iterations == 6
+    assert rep.residual_history[-1] == rep.residual_history[0] > 0
+
+
+def test_costate_non_convergence_is_reported(monkeypatch):
+    from biload import forward
+
+    monkeypatch.setattr(forward, "ANDERSON_DEPTH", 0)  # Anderson solves this affine map
     prob = Problem(
         n=1,
         m_u=0,

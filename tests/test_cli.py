@@ -176,6 +176,18 @@ def test_refine_command(tmp_path):
     assert rows[0].startswith("level,Nt,Nx,forward_error")
 
 
+def test_heat_refine_converges_at_second_order(tmp_path, capsys):
+    # the 32x32 level stalled under relaxed Picard and exited 3
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "heat.cfg"
+    out = tmp_path / "heat_refine"
+    assert main(["refine", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "32x32" in capsys.readouterr().out
+    rows = (out / "refine.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["8", "16", "32"]
+    orders = [float(r.split(",")[4]) for r in rows[1:]]
+    assert all(1.9 <= p <= 2.1 for p in orders), orders
+
+
 def test_sample_configs_parse_and_run(tmp_path):
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name in ("volterra.cfg", "heat.cfg", "biload.cfg"):
@@ -240,6 +252,16 @@ def test_non_finite_control_value_is_a_config_error(tmp_path, capsys):
         assert main(["solve", "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"line {lineno}: control u must be finite, got '{value}'" in err
+        assert not out.exists()
+
+
+def test_profile_on_a_block_without_its_axis_writes_nothing(tmp_path, capsys):
+    heat = (Path(__file__).resolve().parents[1] / "configs" / "heat.cfg").read_text()
+    cfg = _write_cfg(tmp_path, heat + "\n[controls]\nw0 = sin_x\n")
+    for sub in ("solve", "optimize", "grad-check"):
+        out = tmp_path / f"profile_{sub}"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "profile sin_x is not defined for block 'w0'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -112,6 +112,25 @@ def test_member_chunks_count_the_element_size():
     assert len(packed[0]) == len(real[0]) // 2 < len(real[0])
 
 
+def test_fire_chunks_are_sized_from_the_raw_radiation_array(monkeypatch):
+    # f3 is contracted from its raw array, (Nt+1) times smaller than its
+    # full grid; sized from the full grid, every chunk below held one member
+    params = models.make_params("forest_fire_minimal")
+    problem = models.make_model(params)
+    assert len(forward.member_chunks(problem, build_mesh(0.01, 24, 0.0, 1.0, 24), 4)[0]) == 2
+    mesh = build_mesh(0.01, 16, 0.0, 1.0, 16)
+    assert len(forward.member_chunks(problem, mesh, 1000, itemsize=16)[0]) == 3
+    controls = zero_controls(mesh, 1, 1)
+    controls.u[...] = 0.5
+    cfg = SolverConfig(tol=1e-12, relax=models.picard_relax_hint(params, mesh), max_iter=4000)
+    together = verify.dto_solve(problem, mesh, controls, cfg)
+    monkeypatch.setattr(forward, "BATCH_BYTES", 1)  # one column per complex sweep
+    alone = verify.dto_solve(problem, mesh, controls, cfg)
+    for block in CONTROL_BLOCKS:
+        assert together.grad.block(block).tobytes() == alone.grad.block(block).tobytes()
+    assert pack(together.multipliers).tobytes() == pack(alone.multipliers).tobytes()
+
+
 def test_a_non_analytic_kernel_fails_the_dense_oracle():
     # |phi| has no complex extension that carries its derivative, so the
     # complex step drops the term while its hand partial stays right: the

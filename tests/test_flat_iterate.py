@@ -3,9 +3,9 @@ code they replace.
 
 `blockwise_fixed_point` below is the loop `forward.fixed_point` ran before
 it kept its iterate as one flat vector: it relaxes, measures and guards
-block by block.  The flat loop must agree with it bit for bit, reports
-included, because benchmark failure counts follow the floating-point
-bits."""
+block by block.  At Anderson depth 0 the flat loop must agree with it bit
+for bit, reports included, because benchmark failure counts follow the
+floating-point bits."""
 
 import numpy as np
 import pytest
@@ -110,6 +110,7 @@ def _model(name):
 @pytest.mark.parametrize("name", models.MODEL_NAMES)
 @pytest.mark.parametrize("relax", ["one", "hint"])
 def test_flat_loop_matches_blockwise_oracle(monkeypatch, name, relax):
+    monkeypatch.setattr(forward, "ANDERSON_DEPTH", 0)
     params, problem, controls = _model(name)
     hint = models.picard_relax_hint(params, MESH)
     cfg = SolverConfig(tol=1e-12, relax=1.0 if relax == "one" else hint, max_iter=300)

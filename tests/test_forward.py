@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from biload import forward
 from biload.errors import ConfigError, DivergenceError
 from biload.forward import (
     SolverConfig,
@@ -68,7 +69,8 @@ def test_heat_residual_tail_decreases():
     assert all(a > b for a, b in zip(tail, tail[1:]))
 
 
-def test_divergence_guard_raises_with_block_name():
+def test_divergence_guard_raises_with_block_name(monkeypatch):
+    monkeypatch.setattr(forward, "ANDERSON_DEPTH", 0)  # Anderson solves this affine map
     grower = Problem(
         n=1,
         m_u=0,
@@ -87,7 +89,8 @@ def test_divergence_guard_raises_with_block_name():
             SolverConfig(divergence_guard=guard)
 
 
-def test_non_convergence_is_reported_not_raised():
+def test_non_convergence_is_reported_not_raised(monkeypatch):
+    monkeypatch.setattr(forward, "ANDERSON_DEPTH", 0)  # Anderson solves this affine map
     slow = Problem(
         n=1,
         m_u=0,
@@ -105,6 +108,32 @@ def test_non_convergence_is_reported_not_raised():
     for tol in (float("inf"), float("nan"), 0.0):
         with pytest.raises(ConfigError, match="tol"):
             SolverConfig(tol=tol)
+
+
+#: phi <- phi + 1 in the interior: a map with no fixed point, whose residual
+#: never changes, so every Anderson Gram matrix is singular.
+TRANSLATION = Problem(
+    n=1,
+    m_u=0,
+    m_w=0,
+    kernels={"f0": Kernel(fn=lambda a: a.phi + 1.0, partials={"phi": lambda a: 1.0})},
+)
+
+
+def test_map_without_fixed_point_leaves_the_guard_under_anderson():
+    cfg = SolverConfig(max_iter=500, divergence_guard=10.0)
+    with pytest.raises(DivergenceError, match="block phi exceeded guard 10"):
+        solve_forward(TRANSLATION, MESH, zero_controls(MESH, 0, 0), cfg)
+
+
+def test_map_without_fixed_point_reports_non_convergence_under_anderson():
+    cfg = SolverConfig(max_iter=5)
+    state, rep = solve_forward(TRANSLATION, MESH, zero_controls(MESH, 0, 0), cfg)
+    assert not rep.converged
+    assert rep.iterations == 5
+    assert rep.residual_history == [1.0] * 5
+    # a singular history adds nothing: the steps are the Picard steps
+    assert np.all(state.phi[:, 1:-1] == 5.0)
 
 
 def test_solver_config_max_iter_must_be_whole():
@@ -289,9 +318,8 @@ def test_fixed_point_consistency_under_relaxation():
     assert np.max(np.abs(r)) <= cfg.tol / cfg.relax
 
 
-def test_pure_volterra_causality_is_exact():
-    # perturbing the running kernel beyond a cutoff time leaves earlier
-    # rows bitwise unchanged
+def _causality_pair():
+    """Two running kernels that differ only beyond t = 0.5: (base, perturbed)."""
     cut = 0.5
 
     def f1_base(a):
@@ -323,11 +351,25 @@ def test_pure_volterra_causality_is_exact():
     )
     ctrl = zero_controls(MESH, 0, 0)
     cfg = SolverConfig(tol=1e-13, max_iter=200)
-    s_base, _ = solve_forward(base, MESH, ctrl, cfg)
-    s_pert, _ = solve_forward(pert, MESH, ctrl, cfg)
-    rows = MESH.t <= cut
-    assert np.array_equal(s_base.phi[rows], s_pert.phi[rows])
-    assert np.max(np.abs(s_base.phi[~rows] - s_pert.phi[~rows])) > 1e-3
+    return [solve_forward(p, MESH, ctrl, cfg)[0].phi for p in (base, pert)], MESH.t <= cut, cfg
+
+
+def test_pure_volterra_causality_is_exact(monkeypatch):
+    # perturbing the running kernel beyond a cutoff time leaves earlier
+    # rows bitwise unchanged under relaxed Picard, which updates every row
+    # from its own past
+    monkeypatch.setattr(forward, "ANDERSON_DEPTH", 0)
+    (base, pert), rows, _ = _causality_pair()
+    assert np.array_equal(base[rows], pert[rows])
+    assert np.max(np.abs(base[~rows] - pert[~rows])) > 1e-3
+
+
+def test_pure_volterra_causality_holds_to_tolerance_under_anderson():
+    # Anderson mixes all rows through its coefficients, so earlier rows
+    # agree to the solver tolerance rather than bit for bit
+    (base, pert), rows, cfg = _causality_pair()
+    assert np.max(np.abs(base[rows] - pert[rows])) <= 10 * cfg.tol
+    assert np.max(np.abs(base[~rows] - pert[~rows])) > 1e-3
 
 
 def test_solves_are_bitwise_deterministic():

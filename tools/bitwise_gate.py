@@ -7,13 +7,17 @@ Extracts REV with ``git archive REV | tar -x`` into a temporary directory
 (the repository's ``.git`` is only read), then runs ``solver_digest.py`` and
 ``cli_artifacts.py`` in that tree and in this checkout's working tree and
 compares their outputs: the digest lines, and every file the CLI wrote,
-exit codes included.  Prints each differing line or file and exits 1 on
-any difference, 0 when both agree.
+exit codes included.  Prints each differing line or file, and for a
+differing CSV the largest relative difference over the cells that are
+numbers in both; exits 1 on any difference, 0 when both agree.
 """
 
 from __future__ import annotations
 
+import csv
 import difflib
+import io
+import math
 import subprocess
 import sys
 import tempfile
@@ -57,6 +61,32 @@ def _outputs(tree: Path, out: Path) -> dict:
     return files
 
 
+def relative_difference(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|): 0 for equal values (NaN with NaN
+    included), inf when just one is NaN."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if math.isnan(x) or math.isnan(y):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def max_relative_difference(a: bytes, b: bytes):
+    """The largest relative difference between two CSV texts, cell by cell
+    over the rows and columns both have, among cells that are numbers in
+    both; None when no cell is."""
+    rows = (csv.reader(io.StringIO(text.decode(errors="replace"))) for text in (a, b))
+    worst = None
+    for row_a, row_b in zip(*rows):
+        for x, y in zip(row_a, row_b):
+            try:
+                d = relative_difference(float(x), float(y))
+            except ValueError:
+                continue
+            worst = d if worst is None else max(worst, d)
+    return worst
+
+
 def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
@@ -77,6 +107,10 @@ def main(rev: str) -> int:
             b.decode(errors="replace").splitlines(True),
             f"{rev}/{name}", f"checkout/{name}", n=0,
         ))
+        if name.endswith(".csv"):
+            worst = max_relative_difference(a, b)
+            moved = "no numeric cells" if worst is None else f"{worst:.3g}"
+            print(f"{name}: largest relative difference {moved}")
     print(f"{differing} of {len(old.keys() | new.keys())} outputs differ from {rev}")
     return 1 if differing else 0
 
