@@ -64,10 +64,18 @@ class RunSpec:
     outdir: str
 
 
+def _relax(value: str):
+    """A [solver] relax value: 'auto' or a number."""
+    try:
+        return value if value == "auto" else float(value)
+    except ValueError:
+        raise ConfigError("relax must be 'auto' or a number") from None
+
+
 _MESH_KEYS = {"T_final": float, "Nt": int, "x_a": float, "x_b": float, "Nx": int}
 _SOLVER_KEYS = {
     "tol": float,
-    "relax": str,
+    "relax": _relax,
     "max_iter": int,
     "divergence_guard": float,
 }
@@ -94,6 +102,23 @@ def _strip(line: str) -> str:
     if "#" in line:
         line = line[: line.index("#")]
     return line.strip()
+
+
+def _typed(items: dict, section: str, converters: dict, unknown="unknown key {!r} in [{}]") -> dict:
+    """The (value, line) entries of a config section, each converted by its
+    key's function in converters.  A key without one raises the unknown
+    message, formatted with the key and section; a value its converter
+    refuses raises "bad value", or the converter's own ConfigError text."""
+    out = {}
+    for key, (value, lineno) in items.items():
+        if key not in converters:
+            raise ConfigError(f"line {lineno}: " + unknown.format(key, section))
+        try:
+            out[key] = converters[key](value)
+        except ValueError as exc:
+            why = exc if isinstance(exc, ConfigError) else f"bad value for {key}: {value!r}"
+            raise ConfigError(f"line {lineno}: {why}") from None
+    return out
 
 
 def parse_config(text: str) -> RunSpec:
@@ -129,66 +154,27 @@ def parse_config(text: str) -> RunSpec:
     if "model" not in sections or "name" not in sections["model"]:
         raise ConfigError("missing required section [model] with a name key")
 
-    mesh = {}
-    for key, conv in _MESH_KEYS.items():
-        if key not in sections["mesh"]:
-            raise ConfigError(f"[mesh] is missing key {key!r}")
-        value, lineno = sections["mesh"].pop(key)
-        try:
-            mesh[key] = conv(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
-    for key, (_, lineno) in sections["mesh"].items():
-        raise ConfigError(f"line {lineno}: unknown key {key!r} in [mesh]")
+    missing = [key for key in _MESH_KEYS if key not in sections["mesh"]]
+    if missing:
+        raise ConfigError(f"[mesh] is missing key {missing[0]!r}")
+    mesh = _typed(sections["mesh"], "mesh", _MESH_KEYS)
     build_mesh(**mesh)
 
     model_items = dict(sections["model"])
     name, _ = model_items.pop("name")
     if name not in MODEL_SCHEMAS:
         raise ConfigError(f"unknown model {name!r}")
-    overrides = {}
-    for key, (value, lineno) in model_items.items():
-        if key not in MODEL_SCHEMAS[name]:
-            raise ConfigError(f"line {lineno}: model {name} has no parameter {key!r}")
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
-    params = make_params(name, **overrides)
+    schema = dict.fromkeys(MODEL_SCHEMAS[name], float)
+    params = make_params(name, **_typed(model_items, "model", schema, f"model {name} has no parameter {{!r}}"))
 
-    solver = dict(_SOLVER_DEFAULTS)
-    for key, (value, lineno) in sections.get("solver", {}).items():
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [solver]")
-        if key == "relax":
-            if value != "auto":
-                try:
-                    solver[key] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: relax must be 'auto' or a number"
-                    ) from None
-        else:
-            try:
-                solver[key] = _SOLVER_KEYS[key](value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: bad value for {key}: {value!r}"
-                ) from None
+    solver = {**_SOLVER_DEFAULTS, **_typed(sections.get("solver", {}), "solver", _SOLVER_KEYS)}
     relax = solver["relax"]
     try:
         SolverConfig(**{**solver, "relax": 1.0 if relax == "auto" else relax})
     except ConfigError as exc:
         raise ConfigError(f"[solver]: {exc}") from None
 
-    opt_kwargs = {}
-    for key, (value, lineno) in sections.get("optimize", {}).items():
-        if key not in _OPT_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [optimize]")
-        try:
-            opt_kwargs[key] = _OPT_KEYS[key](value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
+    opt_kwargs = _typed(sections.get("optimize", {}), "optimize", _OPT_KEYS)
     try:
         options = OptimizeOptions(**opt_kwargs)
     except ConfigError as exc:
@@ -213,12 +199,7 @@ def parse_config(text: str) -> RunSpec:
             )
         controls[key] = ("profile", value)
 
-    outdir = "out"
-    for key, (value, lineno) in sections.get("output", {}).items():
-        if key != "dir":
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [output]")
-        outdir = value
-
+    outdir = _typed(sections.get("output", {}), "output", {"dir": str}).get("dir", "out")
     return RunSpec(
         mesh=mesh,
         model=params,

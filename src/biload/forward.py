@@ -25,9 +25,9 @@ vector; the blocks are walked only to name the one that left the guard.
 2-D, a member per row, and blocks, slots, kernel values and contractions
 carry the member axis in front (stencils count axes from the end, einsums
 take it as "...").  Each member has its own residual, relaxation,
-Anderson history and report, and leaves the active set once it converges;
-its bits are those of its own `solve_forward`, which passes no member
-axis.  `sweep_map` and `eval_cost` keep the dtype of their inputs, so the
+Anderson history and report, and leaves the active set once it converges
+or fails; its bits are those of its own `solve_forward`, which passes no
+member axis, and its report's error is what that solve raises.  `sweep_map` and `eval_cost` keep the dtype of their inputs, so the
 dense oracle runs them on complex members (`verify.dto_solve`).
 
 Starting from the zero bundle, the iteration is deterministic: identical
@@ -42,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, KernelEvalError, ShapeError, check_count
+from .errors import ConfigError, DivergenceError, KernelEvalError, check_count
 from .kernels import (
     TERMS,
     Problem,
@@ -95,6 +95,8 @@ class SolveReport:
     final_residual: float
     converged: bool
     residual_history: list = field(default_factory=list)
+    # the DivergenceError or KernelEvalError that ended the member, if one did
+    error: Exception = field(default=None, repr=False, compare=False)
 
 
 def assemble_sweep(mesh: Mesh, n: int, contributions, lead: tuple = (), dtype=float) -> StateBundle:
@@ -117,7 +119,7 @@ def _kernel_terms(problem: Problem, mesh: Mesh, tables, lead: tuple):
     consumer nodes."""
     for kid in problem.kernels:
         F = eval_kernel(problem, kid, mesh, tables, lead=lead)
-        check_finite(f"kernel {kid}", F)
+        check_finite(f"kernel {kid}", F, lead)
         yield TERMS[kid].eq, forward_contract(mesh, kid, F)
 
 
@@ -192,50 +194,67 @@ def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):
     When x0's flat is 2-D (a member per row, see the module docstring),
     sweep(x, *operands) gets the active members and their rows of the
     member bundles operands; one (bundle, SolveReport) per member returns.
+    A member leaves the batch when it converges or leaves the guard, or when
+    its rows of a sweep are not finite (kernels.check_finite), and then the
+    rest sweep the same iterate again; its report's error is what its own
+    solve raises.
     """
     xf = pack(x0) if x0.flat is None else x0.flat
     many = xf.ndim == 2
     x, cls = x0, type(x0)
     shapes = tuple(block.shape[many:] for block in x0.blocks())
     rows = list(range(len(xf) if many else 1))  # members still iterating
-    histories, final = [[] for _ in rows], {}
+    histories, final, errors = [[] for _ in rows], {}, {}
     theta, guard, depth = cfg.relax, cfg.divergence_guard, ANDERSON_DEPTH
     # each member's last depth differences of residuals and relaxed images
     dF = np.empty((len(rows), depth, xf.shape[-1]), xf.dtype)
     dP = np.empty_like(dF)
-    for it in range(cfg.max_iter):
-        target = sweep(x, *operands)
-        tf = pack(target) if target.flat is None else target.flat
-        f = tf - xf
-        residual = np.atleast_1d(np.max(np.abs(f), axis=-1)).tolist()
-        relaxed = tf if theta == 1.0 else (1.0 - theta) * xf + theta * tf
-        xf = relaxed
-        if depth and it:
-            slot, k = (it - 1) % depth, min(it, depth)
-            dF[:, slot], dP[:, slot] = f - f_prev, relaxed - p_prev
-            correction = _anderson_correction(np.atleast_2d(f), dF[:, :k], dP[:, :k])
-            xf = relaxed - correction.reshape(f.shape)
-        f_prev, p_prev = f, relaxed
-        x = target if xf is tf else bundle_of(cls, xf, shapes)
-        if not np.all(np.abs(xf) <= guard):
-            name = next(n for n, _, b in x.named() if b.size and not np.all(np.abs(b) <= guard))
-            raise DivergenceError(
-                f"{label}iteration diverged: block {name} exceeded guard {guard:g}"
-            )
-        for r, res in zip(rows, residual):
-            histories[r].append(res)
-        keep = [not res <= cfg.tol for res in residual]
+    f_prev = p_prev = xf  # cut alike until the first sweep sets them
+    while (it := len(histories[rows[0]])) < cfg.max_iter:  # each active member's sweeps
+        try:
+            target = sweep(x, *operands)
+        except KernelEvalError as exc:
+            if not hasattr(exc, "members"):  # a single solve raises it
+                raise
+            errors.update((rows[i], e) for i, e in exc.members.items())
+            keep = [i not in exc.members for i in range(len(rows))]
+        else:
+            tf = pack(target) if target.flat is None else target.flat
+            f = tf - xf
+            residual = np.atleast_1d(np.max(np.abs(f), axis=-1)).tolist()
+            relaxed = tf if theta == 1.0 else (1.0 - theta) * xf + theta * tf
+            xf = relaxed
+            if depth and it:
+                slot, k = (it - 1) % depth, min(it, depth)
+                dF[:, slot], dP[:, slot] = f - f_prev, relaxed - p_prev
+                correction = _anderson_correction(np.atleast_2d(f), dF[:, :k], dP[:, :k])
+                xf = relaxed - correction.reshape(f.shape)
+            f_prev, p_prev = f, relaxed
+            x = target if xf is tf else bundle_of(cls, xf, shapes)
+            for r, res in zip(rows, residual):
+                histories[r].append(res)
+            keep = [not res <= cfg.tol for res in residual]
+            if not np.all(np.abs(xf) <= guard):  # name the first block past it, per member
+                past = lambda b: np.atleast_1d(~np.all(np.abs(b) <= guard, axis=tuple(range(many, b.ndim))))
+                for i in np.flatnonzero(past(xf)).tolist():
+                    name = next(n for n, _, b in x.named() if past(b)[i])
+                    errors[rows[i]] = DivergenceError(
+                        f"{label}iteration diverged: block {name} exceeded guard {guard:g}")
+                    keep[i] = False
         if not any(keep):
             break
-        if not all(keep):  # the converged members leave the batch
+        if not all(keep):  # the converged and failed members leave the batch
             final.update((r, row) for r, row, k in zip(rows, xf, keep) if not k)
             rows = [r for r, k in zip(rows, keep) if k]
             cut = lambda b: bundle_of(type(b), b.flat[keep], tuple(a.shape[1:] for a in b.blocks()))
             x, operands = cut(x), [cut(op) for op in operands]
             xf, f_prev, p_prev, dF, dP = x.flat, f_prev[keep], p_prev[keep], dF[keep], dP[keep]
+    if not many and errors:
+        raise errors[0]
     final.update(zip(rows, xf if many else [xf]))
-    out = [(bundle_of(cls, final[r], shapes), SolveReport(len(h), h[-1], h[-1] <= cfg.tol, h))
-           for r, h in enumerate(histories)]
+    out = [(bundle_of(cls, final[r], shapes), SolveReport(
+        len(h), h[-1] if h else math.nan, r not in errors and h[-1] <= cfg.tol, h, errors.get(r)))
+        for r, h in enumerate(histories)]
     return out if many else out[0]
 
 
@@ -285,19 +304,14 @@ def _built_size(problem: Problem, mesh: Mesh, kid: str) -> int:
 def solve_forward_many(problem: Problem, mesh: Mesh, controls_list, cfg: SolverConfig = None):
     """solve_forward at each bundle of controls_list, the members iterated
     together along a leading axis; yields one (state, SolveReport) per
-    member, in order, bit for bit those of solve_forward.  A chunk of
-    members that raises a solver error is solved again one at a time, so a
-    caller that handles each result before taking the next stops at the
-    same member, with the same error, as a loop of solve_forward."""
+    member, in order, bit for bit those of solve_forward.  A member whose
+    own solve_forward raises DivergenceError or KernelEvalError ends alone,
+    with that error as its report's error (see fixed_point); the state is
+    then the iterate it stopped at."""
     cfg, sweep = cfg or SolverConfig(), partial(sweep_map, problem, mesh)
     for chunk in member_chunks(problem, mesh, len(controls_list)):
-        members = [controls_list[k] for k in chunk]
-        x0 = stack([zero_state(mesh, problem.n)] * len(members))
-        try:
-            solved = fixed_point(sweep, x0, cfg, operands=(stack(members),))
-        except (DivergenceError, KernelEvalError, ShapeError):
-            solved = (solve_forward(problem, mesh, c, cfg) for c in members)
-        yield from solved
+        x0 = stack([zero_state(mesh, problem.n)] * len(chunk))
+        yield from fixed_point(sweep, x0, cfg, operands=(stack([controls_list[k] for k in chunk]),))
 
 
 def eval_cost(

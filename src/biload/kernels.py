@@ -512,20 +512,26 @@ def transpose_contract(
     return np.einsum(spec, lam, P, *ops)
 
 
-def check_finite(name: str, arr: np.ndarray) -> None:
+def check_finite(name: str, arr: np.ndarray, lead: tuple = ()) -> None:
     """Raise KernelEvalError at the first non-finite entry of arr in C order.
 
     A broadcast view is scanned at index 0 of each stride-0 axis only:
     its values repeat along those axes, so the first bad index is the same.
+    With one member axis lead in front, the error's `members` maps each
+    failing row to the error of that member's own check.
     """
     if 0 in arr.strides:
         arr = arr[tuple(slice(0, 1) if step == 0 else slice(None) for step in arr.strides)]
     if not np.isfinite(arr).all():
-        bad = np.argwhere(~np.isfinite(arr))
-        raise KernelEvalError(
-            f"{name} produced a non-finite value at grid index "
-            f"{tuple(int(v) for v in bad[0])}"
+        bad = ~np.isfinite(arr)
+        error = lambda b: KernelEvalError(
+            f"{name} produced a non-finite value at grid index {tuple(np.argwhere(b)[0].tolist())}"
         )
+        exc = error(bad)
+        if lead:  # a stride-0 member axis was cut to row 0, which every member shares
+            rows = np.broadcast_to(bad.any(axis=tuple(range(1, bad.ndim))), lead)
+            exc.members = {r: error(bad[r % len(bad)]) for r in np.flatnonzero(rows).tolist()}
+        raise exc
 
 
 # ---------------------------------------------------------------------------

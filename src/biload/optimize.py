@@ -4,9 +4,9 @@ blocks, driven by the costate-based gradient.
 All six blocks descend simultaneously with one shared step.  A trial step
 is accepted when it achieves the sufficient decrease
 J(new) <= J(old) - armijo_c * step * |g|^2 measured in the quadrature
-norm; forward non-convergence at a trial point rejects the step like an
-insufficient decrease.  The method claims stationarity (small gradient),
-nothing stronger.
+norm; forward non-convergence or divergence at a trial point rejects the
+step like an insufficient decrease.  The method claims stationarity
+(small gradient), nothing stronger.
 
 The trial steps of a line search are known before any is solved: step0,
 then `step *= backtrack` down to STEP_FLOOR.  The ladder goes to
@@ -25,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from .adjoint import control_gradient, gradient_norm2, partial_cache, solve_costate
-from .errors import ConfigError, DivergenceError, check_count
+from .errors import ConfigError, DivergenceError, KernelEvalError, check_count
 from .forward import SolverConfig, eval_cost, member_chunks, solve_forward, solve_forward_many
 from .kernels import Problem
 from .mesh import Mesh
@@ -60,7 +60,7 @@ class OptimizeHistory:
     rows: list = field(default_factory=list)  # (iter, J, gnorm, step, fwd_iters)
     status: str = "running"
     # per line search: the trials the sequential search solves, and the
-    # members solved, speculative and re-solved ones included
+    # members solved, speculative ones included
     trials: list = field(default_factory=list)
     members: list = field(default_factory=list)
 
@@ -136,25 +136,21 @@ def run_gd(
 
     def line_search():
         """The first ladder member passing Armijo, as (step, controls, state,
-        slots, J, report), or None.  A member that raises DivergenceError is
-        rejected and the rest of its chunk goes to a new batch: the results
-        stop at the raise, after solve_forward_many re-solved the chunk one
-        member at a time up to it."""
+        slots, J, report), or None.  A member that leaves the guard is
+        rejected; one whose kernel is not finite raises its error when the
+        search reaches it."""
         steps = accumulate(repeat(opts.backtrack), mul, initial=opts.step0)  # as `step *= backtrack`
         ladder = takewhile(lambda step: step >= STEP_FLOOR, steps)
-        pending, size, trials, members, found = [], 1, 0, 0, None
-        while found is None and (chunk := pending or list(islice(ladder, size))):
+        size, trials, members, found = 1, 0, 0, None
+        while found is None and (chunk := list(islice(ladder, size))):
             points = [project(_descend(controls, grad, step), bounds) for step in chunk]
-            results, pending = solve_forward_many(problem, mesh, points, solver_cfg), []
             members += len(chunk)
             size = len(member_chunks(problem, mesh, 2 * size)[0])  # double, within one batch
-            for j, (step, trial) in enumerate(zip(chunk, points)):
+            solved = solve_forward_many(problem, mesh, points, solver_cfg)
+            for step, trial, (tstate, trep) in zip(chunk, points, solved):
                 trials += 1
-                try:
-                    tstate, trep = next(results)
-                except DivergenceError:
-                    members, pending = members + j + 1, chunk[j + 1:]
-                    break
+                if isinstance(trep.error, KernelEvalError):
+                    raise trep.error
                 if trep.converged:
                     tslots = derive_slots(mesh, tstate)
                     tJ = eval_cost(problem, mesh, tstate, tslots, trial)

@@ -80,9 +80,11 @@ def _perturbed(controls: ControlBundle, block: str, direction, scale: float):
 
 
 def _solved_state(solved, context: str = "") -> StateBundle:
-    """The state of a forward solution (state, SolveReport); raises unless
-    it converged."""
+    """The state of a forward solution (state, SolveReport); raises the
+    report's error if it holds one, else unless it converged."""
     state, report = solved
+    if report.error is not None:
+        raise report.error
     if not report.converged:
         raise DivergenceError(
             f"forward solve did not converge{context} "

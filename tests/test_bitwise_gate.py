@@ -25,3 +25,13 @@ def test_relative_difference_of_special_values():
     assert rd(0.0, 0.0) == 0.0 and rd(math.nan, math.nan) == 0.0
     assert rd(math.nan, 1.0) == math.inf
     assert rd(-2.0, 2.0) == 2.0
+
+
+def test_source_lines_count_newlines_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "biload"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (package / "notes.txt").write_text("skipped\n")
+    (tmp_path / "src" / "other.py").write_text("skipped\n")
+    assert bitwise_gate.source_lines(tmp_path) == 2

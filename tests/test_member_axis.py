@@ -3,9 +3,11 @@ they replace.
 
 `per_member` below is the oracle of `forward.solve_forward_many`: one
 `solve_forward` per member, in order, the order in which the batch yields
-them.  The batch must agree with it bit for bit, reports and error messages
-included, because benchmark failure counts follow the floating-point bits.  The dense oracle's batched columns are held
-to the hand linearization run column by column (`linearized.hand_dto`)."""
+them.  The batch must agree with it bit for bit, reports included, and a
+member whose own solve raises must end with that error in its report,
+because benchmark failure counts follow the floating-point bits.  The dense
+oracle's batched columns are held to the hand linearization run column by
+column (`linearized.hand_dto`)."""
 
 import numpy as np
 import pytest
@@ -40,15 +42,8 @@ def per_member(problem, mesh, controls_list, cfg):
     return [forward.solve_forward(problem, mesh, c, cfg) for c in controls_list]
 
 
-def batched(monkeypatch, problem, mesh, controls_list, cfg):
-    """solve_forward_many, failing if it falls back to one solve per member."""
-
-    def no_fallback(*args):
-        raise AssertionError("the batch raised and was solved member by member")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(forward, "solve_forward", no_fallback)
-        return list(forward.solve_forward_many(problem, mesh, controls_list, cfg))
+def batched(problem, mesh, controls_list, cfg):
+    return list(forward.solve_forward_many(problem, mesh, controls_list, cfg))
 
 
 def _members(name, amplitudes=AMPLITUDES):
@@ -82,9 +77,33 @@ def _error(solve) -> str:
     return f"{type(info.value).__name__}: {info.value}"
 
 
+def _own_outcomes(problem, controls_list, cfg) -> list:
+    """Each member's own solve_forward: (state, report), or its error text."""
+    out = []
+    for controls in controls_list:
+        try:
+            out.append(forward.solve_forward(problem, MESH, controls, cfg))
+        except (DivergenceError, KernelEvalError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _assert_outcomes(new, old):
+    """Batched (state, report) pairs against _own_outcomes: a member whose own
+    solve raises carries that error, the others their own bits."""
+    assert len(new) == len(old)
+    for (x_new, rep_new), own in zip(new, old):
+        if isinstance(own, str):
+            assert f"{type(rep_new.error).__name__}: {rep_new.error}" == own
+            assert not rep_new.converged
+        else:
+            assert rep_new.error is None
+            _assert_same([(x_new, rep_new)], [own])
+
+
 @pytest.mark.parametrize("name", models.MODEL_NAMES)
 @pytest.mark.parametrize("scale", [1.0, 0.8])
-def test_members_match_their_own_solves(monkeypatch, name, scale):
+def test_members_match_their_own_solves(name, scale):
     amplitudes = LINEAR_AMPLITUDES if name == "lq_volterra" else AMPLITUDES
     params, problem, members = _members(name, amplitudes)
     relax = scale * models.picard_relax_hint(params, MESH)
@@ -92,7 +111,7 @@ def test_members_match_their_own_solves(monkeypatch, name, scale):
     old = per_member(problem, MESH, members, cfg)
     iters = [rep.iterations for _, rep in old]
     assert all(rep.converged for _, rep in old)
-    _assert_same(batched(monkeypatch, problem, MESH, members, cfg), old)
+    _assert_same(batched(problem, MESH, members, cfg), old)
     if name == "volterra_exp":  # no control enters its dynamics
         assert len(set(iters)) == 1
         return
@@ -102,7 +121,7 @@ def test_members_match_their_own_solves(monkeypatch, name, scale):
     old = per_member(problem, MESH, members, cut)
     assert [rep.converged for _, rep in old].count(False) >= 1
     assert any(rep.converged for _, rep in old)
-    _assert_same(batched(monkeypatch, problem, MESH, members, cut), old)
+    _assert_same(batched(problem, MESH, members, cut), old)
 
 
 @pytest.mark.parametrize("name", ["heat", "biload_demo"])
@@ -115,7 +134,7 @@ def test_members_split_across_chunks(monkeypatch, name):
     monkeypatch.setattr(forward, "BATCH_BYTES", 3 * 8 * problem.n * int(largest))
     chunks = forward.member_chunks(problem, MESH, len(members))
     assert [len(c) for c in chunks] == [3, 3, 1]
-    _assert_same(batched(monkeypatch, problem, MESH, members, cfg), old)
+    _assert_same(batched(problem, MESH, members, cfg), old)
 
 
 def _loading_problem(fn0=lambda a: a.u, fn00=lambda a: a.u0) -> Problem:
@@ -143,18 +162,17 @@ def _constant_members(problem, values):
     return members
 
 
-def test_a_member_leaving_the_guard_raises_as_alone(monkeypatch):
+def test_a_member_leaving_the_guard_raises_as_alone():
     problem = _loading_problem()
-    # member 1 leaves the guard through phi0, member 2 through phi; the batch
-    # sees phi first, a loop of solves stops at member 1
+    # member 1 leaves the guard through phi0, member 2 through phi
     members = _constant_members(problem, [(0.1, 0.2), (0.1, 1e9), (1e9, 0.0), (0.3, 0.1)])
     cfg = SolverConfig(tol=1e-12)
-    old = _error(lambda: per_member(problem, MESH, members, cfg))
-    assert old == "DivergenceError: iteration diverged: block phi0 exceeded guard 1e+08"
-    assert _error(lambda: list(forward.solve_forward_many(problem, MESH, members, cfg))) == old
-    # without the failing members the rest still solve bit for bit
-    keep = [members[0], members[3]]
-    _assert_same(batched(monkeypatch, problem, MESH, keep, cfg), per_member(problem, MESH, keep, cfg))
+    old = _own_outcomes(problem, members, cfg)
+    assert old[1:3] == [
+        "DivergenceError: iteration diverged: block phi0 exceeded guard 1e+08",
+        "DivergenceError: iteration diverged: block phi exceeded guard 1e+08",
+    ]
+    _assert_outcomes(batched(problem, MESH, members, cfg), old)
 
 
 def test_a_member_planting_a_nan_raises_as_alone():
@@ -162,11 +180,40 @@ def test_a_member_planting_a_nan_raises_as_alone():
     members = _constant_members(problem, [(0.1, 0.2), (0.2, 0.1), (6.0, 0.0)])
     members[2].u[:3] = 0.0  # the first bad grid index is not the first node
     cfg = SolverConfig(tol=1e-12)
-    old = _error(lambda: per_member(problem, MESH, members, cfg))
-    assert old == "KernelEvalError: kernel f0 produced a non-finite value at grid index (3, 0, 0)"
-    assert _error(lambda: list(forward.solve_forward_many(problem, MESH, members, cfg))) == old
+    old = _own_outcomes(problem, members, cfg)
+    assert old[2] == "KernelEvalError: kernel f0 produced a non-finite value at grid index (3, 0, 0)"
+    _assert_outcomes(batched(problem, MESH, members, cfg), old)
 
 
+def test_a_nan_shared_by_every_member_ends_each_as_alone():
+    # the kernel reads no slot, so its value has stride 0 along the member axis
+    problem = _loading_problem(fn0=lambda a: np.where(a.t > 0.5, np.nan, 1.0) + 0.0 * a.x)
+    members = _constant_members(problem, [(0.1, 0.2), (0.2, 0.1), (6.0, 0.0)])
+    cfg = SolverConfig(tol=1e-12)
+    old = _own_outcomes(problem, members, cfg)
+    assert old == ["KernelEvalError: kernel f0 produced a non-finite value at grid index (4, 0, 0)"] * 3
+    _assert_outcomes(batched(problem, MESH, members, cfg), old)
+
+
+#: The largest value of phi at the fixed point of _loading_problem at u = 6.
+PHI_STAR = 9.895193387868261
+
+
+def test_each_member_of_a_mixed_batch_ends_as_alone():
+    # the member at u = 6 goes NaN where phi comes within 1e-10 of PHI_STAR:
+    # on its ninth sweep, once its Anderson history has wrapped, so the others
+    # sweep that iterate again without it
+    problem = _loading_problem(fn0=lambda a: np.where(abs(a.phi - PHI_STAR) < 1e-10, np.nan, a.u))
+    members = _constant_members(problem, [(0.1, 0.2), (6.0, 0.0), (1e5, 0.0), (1e9, 0.0), (0.3, 0.1)])
+    cfg = SolverConfig(tol=1e-12, max_iter=11)
+    old = _own_outcomes(problem, members, cfg)
+    assert old[1] == "KernelEvalError: kernel f0 produced a non-finite value at grid index (6, 1, 0)"
+    assert old[3] == "DivergenceError: iteration diverged: block phi exceeded guard 1e+08"
+    assert [old[k][1].converged for k in (0, 2, 4)] == [True, False, True]  # member 2 at max_iter
+    assert old[0][1].iterations == 9 and old[4][1].iterations == 10
+    new = batched(problem, MESH, members, cfg)
+    _assert_outcomes(new, old)
+    assert new[1][1].iterations == 8 > forward.ANDERSON_DEPTH
 def test_an_earlier_non_convergence_is_reported_before_a_later_raise():
     problem = _loading_problem(fn0=lambda a: np.where(a.u > 5.0, np.nan, a.u) + 0.0 * a.t)
     # member 0 stops at max_iter, member 1 plants a NaN on its first sweep
@@ -197,15 +244,11 @@ def test_an_empty_block_list_is_refused():
 
 
 @pytest.mark.parametrize("name", ["heat", "biload_demo"])
-def test_gradient_check_matches_the_per_direction_loop(monkeypatch, name):
+def test_gradient_check_matches_the_per_direction_loop(name):
     params, problem, (_, _, controls, _) = _members(name)
     cfg = SolverConfig(tol=1e-12, relax=models.picard_relax_hint(params, MESH), max_iter=4000)
     blocks = ["u", "w", "w0"] if name == "heat" else ["u", "uT", "wT"]
-    with monkeypatch.context() as patch:
-        patch.setattr(verify, "solve_forward_many", lambda *a: batched(monkeypatch, *a))
-        report = verify.gradient_check(
-            problem, MESH, controls, n_dirs=2, seed=3, cfg=cfg, blocks=blocks
-        )
+    report = verify.gradient_check(problem, MESH, controls, n_dirs=2, seed=3, cfg=cfg, blocks=blocks)
     rng = np.random.default_rng(3)
     fds = []
     for block in blocks:

@@ -9,7 +9,9 @@ Extracts REV with ``git archive REV | tar -x`` into a temporary directory
 compares their outputs: the digest lines, and every file the CLI wrote,
 exit codes included.  Prints each differing line or file, and for a
 differing CSV the largest relative difference over the cells that are
-numbers in both; exits 1 on any difference, 0 when both agree.
+numbers in both; exits 1 on any difference, 0 when both agree.  Also
+prints the line count of ``src/biload/*.py`` in both trees, which does not
+affect the exit code.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def _outputs(tree: Path, out: Path) -> dict:
     return files
 
 
+def source_lines(tree: Path) -> int:
+    """The lines of tree's src/biload/*.py, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "biload").glob("*.py"))
+
+
 def relative_difference(x: float, y: float) -> float:
     """|x - y| / max(|x|, |y|): 0 for equal values (NaN with NaN
     included), inf when just one is NaN."""
@@ -93,6 +100,7 @@ def main(rev: str) -> int:
         extract(rev, base)
         old = _outputs(base, Path(tmp) / "base_out")
         new = _outputs(ROOT, Path(tmp) / "new_out")
+        lines = source_lines(base), source_lines(ROOT)
     differing = 0
     for name in sorted(old.keys() | new.keys()):
         a, b = old.get(name), new.get(name)
@@ -112,6 +120,7 @@ def main(rev: str) -> int:
             moved = "no numeric cells" if worst is None else f"{worst:.3g}"
             print(f"{name}: largest relative difference {moved}")
     print(f"{differing} of {len(old.keys() | new.keys())} outputs differ from {rev}")
+    print(f"src/biload/*.py: {lines[0]} lines at {rev}, {lines[1]} in this checkout")
     return 1 if differing else 0
 
 
