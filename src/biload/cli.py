@@ -304,10 +304,7 @@ def write_block_csvs(outdir: Path, mesh: Mesh, named) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(spec: RunSpec, outdir: Path, seed: int) -> int:
-    mesh = build_mesh(**spec.mesh)
-    problem = make_model(spec.model)
-    controls = build_controls(spec, mesh, problem)
+def _cmd_solve(spec: RunSpec, mesh: Mesh, problem, controls, outdir: Path, seed: int) -> int:
     cfg = _solver_cfg(spec, mesh)
     state, report = solve_forward(problem, mesh, controls, cfg)
     write_block_csvs(outdir, mesh, state.named())
@@ -323,10 +320,7 @@ def _cmd_solve(spec: RunSpec, outdir: Path, seed: int) -> int:
     return 0 if report.converged else 3
 
 
-def _cmd_cost(spec: RunSpec, outdir: Path, seed: int) -> int:
-    mesh = build_mesh(**spec.mesh)
-    problem = make_model(spec.model)
-    controls = build_controls(spec, mesh, problem)
+def _cmd_cost(spec: RunSpec, mesh: Mesh, problem, controls, outdir: Path, seed: int) -> int:
     cfg = _solver_cfg(spec, mesh)
     state, report = solve_forward(problem, mesh, controls, cfg)
     slots = derive_slots(mesh, state)
@@ -340,10 +334,7 @@ def _cmd_cost(spec: RunSpec, outdir: Path, seed: int) -> int:
     return 0 if report.converged else 3
 
 
-def _cmd_grad_check(spec: RunSpec, outdir: Path, seed: int) -> int:
-    mesh = build_mesh(**spec.mesh)
-    problem = make_model(spec.model)
-    controls = build_controls(spec, mesh, problem)
+def _cmd_grad_check(spec: RunSpec, mesh: Mesh, problem, controls, outdir: Path, seed: int) -> int:
     cfg = _tight_cfg(spec, mesh)
     report = gradient_check(problem, mesh, controls, n_dirs=5, seed=seed, cfg=cfg)
     write_block_csvs(outdir, mesh, report.costate.named())
@@ -374,10 +365,7 @@ def _cmd_grad_check(spec: RunSpec, outdir: Path, seed: int) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_optimize(spec: RunSpec, outdir: Path, seed: int) -> int:
-    mesh = build_mesh(**spec.mesh)
-    problem = make_model(spec.model)
-    controls = build_controls(spec, mesh, problem)
+def _cmd_optimize(spec: RunSpec, mesh: Mesh, problem, controls, outdir: Path, seed: int) -> int:
     cfg = _solver_cfg(spec, mesh)
     best, history = run_gd(problem, mesh, controls, spec.optimize, cfg)
     _write_csv(
@@ -391,20 +379,19 @@ def _cmd_optimize(spec: RunSpec, outdir: Path, seed: int) -> int:
     return 0
 
 
-def _cmd_ibp_demo(spec: RunSpec, outdir: Path, seed: int) -> int:
+def _cmd_ibp_demo(spec: RunSpec, mesh: Mesh, problem, controls, outdir: Path, seed: int) -> int:
     rows = []
-    base = build_mesh(**spec.mesh)
     for level in range(3):
-        mesh = _refined(base, 2**level)
-        A, A2, dphi = _ibp_test_fields(mesh)
-        r1, r2 = ibp_residual(mesh, A, A2, dphi)
-        rows.append((level, mesh.Nt, mesh.Nx, r1, r2))
+        fine = _refined(mesh, 2**level)
+        A, A2, dphi = _ibp_test_fields(fine)
+        r1, r2 = ibp_residual(fine, A, A2, dphi)
+        rows.append((level, fine.Nt, fine.Nx, r1, r2))
     _write_csv(outdir / "ibp.csv", ("level", "Nt", "Nx", "r1", "r2"), rows)
     print("ibp-demo: " + "; ".join(f"level {r[0]}: r1={r[3]:.3e} r2={r[4]:.3e}" for r in rows))
     return 0
 
 
-def _cmd_curve_demo(spec: RunSpec, outdir: Path, seed: int) -> int:
+def _cmd_curve_demo(spec: RunSpec, mesh: Mesh, problem, controls, outdir: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -422,9 +409,7 @@ def _cmd_curve_demo(spec: RunSpec, outdir: Path, seed: int) -> int:
     return 0
 
 
-def _cmd_refine(spec: RunSpec, outdir: Path, seed: int) -> int:
-    mesh = build_mesh(**spec.mesh)
-    problem = make_model(spec.model)
+def _cmd_refine(spec: RunSpec, mesh: Mesh, problem, controls, outdir: Path, seed: int) -> int:
     reference = model_reference(spec.model)
 
     def cfg(m):
@@ -464,20 +449,21 @@ _COMMANDS = {
 
 
 def run(spec: RunSpec, subcommand: str, out_dir: str = None, seed: int = 0) -> int:
-    """Execute one subcommand; returns the process exit status.  The
-    controls are laid on the model's blocks before the output directory is
-    made, so a config error there leaves nothing behind."""
+    """Execute one subcommand; returns the process exit status.  The mesh,
+    model and controls the subcommand runs on are built before the output
+    directory is made, so a config error there leaves nothing behind."""
     if subcommand not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    build_controls(spec, build_mesh(**spec.mesh), make_model(spec.model))
+    mesh, problem = build_mesh(**spec.mesh), make_model(spec.model)
+    controls = build_controls(spec, mesh, problem)
     outdir = Path(out_dir if out_dir is not None else spec.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from None
-    return _COMMANDS[subcommand](spec, outdir, seed)
+    return _COMMANDS[subcommand](spec, mesh, problem, controls, outdir, seed)
 
 
 def main(argv=None) -> int:

@@ -156,8 +156,9 @@ ANDERSON_DEPTH = 5
 #: its largest diagonal entry, with the smallest normal number added so an
 #: all-zero history is shifted too: the least shift at rounding level that
 #: makes the matrix positive definite, so a singular history gives that
-#: member finite coefficients and never fails the stacked solve of the
-#: other members.
+#: member finite coefficients.  Where elimination still meets a zero pivot
+#: (a rank-one history can), _anderson_correction falls back to least
+#: squares for that member alone.
 GRAM_SHIFT = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -167,13 +168,28 @@ def _anderson_correction(f, dF, dP):
     |f - dF g|: the type-II Anderson correction to the relaxed sweep image,
     the k columns of dF and dP (members, k, n) the differences of successive
     residuals and relaxed images.  g solves the normal equations, their
-    Gram matrix shifted by GRAM_SHIFT.  Each member's reductions run over
-    its own rows, so its bits do not depend on the batch it is in."""
+    Gram matrix shifted by GRAM_SHIFT; when the stacked solve meets a
+    singular matrix, each member solves its own, and a member whose
+    matrix is still singular takes the minimum-norm least-squares g.  Each
+    member's reductions run over its own rows, so its bits do not depend
+    on the batch it is in."""
     gram = np.einsum("bin,bjn->bij", dF, dF)
     diag = np.einsum("bii->bi", gram)  # a writable view
     diag += GRAM_SHIFT * diag.max(axis=1, keepdims=True) + _TINY
-    gamma = np.linalg.solve(gram, np.einsum("bin,bn->bi", dF, f)[..., None])
+    rhs = np.einsum("bin,bn->bi", dF, f)[..., None]
+    try:
+        gamma = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        gamma = np.stack([_solve_or_lstsq(g, r) for g, r in zip(gram, rhs)])
     return np.einsum("bi,bin->bn", gamma[..., 0], dP)
+
+
+def _solve_or_lstsq(a, b):
+    """a^-1 b, or the minimum-norm least-squares solution for a singular a."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def fixed_point(sweep, x0, cfg: SolverConfig, label: str = "", operands=()):

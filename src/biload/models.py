@@ -30,6 +30,7 @@ biload_demo             two-way interior/boundary loading with all four
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,92 +43,6 @@ from .mesh import Mesh
 class ModelParams:
     name: str
     values: dict
-
-
-MODEL_SCHEMAS = {
-    "volterra_exp": {"alpha": 0.1},
-    "lq_volterra": {"a": -0.6, "b": 1.0, "c0": 0.5, "alpha": 0.1},
-    "heat": {"K": 1.0, "c_u": 1.0, "d_w": 1.0, "amp": 1.0, "alpha": 0.1, "gamma_w": 0.1},
-    "barenblatt": {
-        "K": 1.0,
-        "L": 0.01,
-        "c_u": 1.0,
-        "d_w": 1.0,
-        "amp": 1.0,
-        "alpha": 0.1,
-        "gamma_w": 0.1,
-    },
-    "integral_cv": {
-        "K": 1.0,
-        "A": 1.0,
-        "c_u": 1.0,
-        "d_w": 1.0,
-        "amp": 1.0,
-        "alpha": 0.1,
-        "gamma_w": 0.1,
-    },
-    "integral_cv_barenblatt": {
-        "K": 1.0,
-        "L": 0.01,
-        "A": 1.0,
-        "c_u": 1.0,
-        "d_w": 1.0,
-        "amp": 1.0,
-        "alpha": 0.1,
-        "gamma_w": 0.1,
-    },
-    "forest_fire_minimal": {
-        "K": 0.2,
-        "L": 1e-3,
-        "A": 1.0,
-        "c_R": 0.3,
-        "ell": 0.3,
-        "v0": 0.05,
-        "c_u": 1.0,
-        "d_w": 1.0,
-        "amp": 1.0,
-        "alpha": 0.1,
-        "gamma_w": 0.1,
-    },
-    "biload_demo": {
-        "a1": 0.3,
-        "b1": 1.0,
-        "c_f0": 0.2,
-        "c4": 0.15,
-        "d4": 0.2,
-        "c5": 0.15,
-        "cg0": 0.25,
-        "e_bd": 0.2,
-        "d0": 1.0,
-        "c2": 0.2,
-        "c3": 0.2,
-        "e0": 1.0,
-        "cT": 0.3,
-        "ew0": 1.0,
-        "cTb": 0.3,
-        "alpha": 0.1,
-        "beta_bd": 0.2,
-        "gamma_w": 0.1,
-    },
-}
-
-MODEL_NAMES = tuple(MODEL_SCHEMAS)
-
-
-def make_params(name: str, **overrides) -> ModelParams:
-    """ModelParams with schema defaults and validated overrides."""
-    if name not in MODEL_SCHEMAS:
-        raise ConfigError(
-            f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}"
-        )
-    values = dict(MODEL_SCHEMAS[name])
-    for key, val in overrides.items():
-        if key not in values:
-            raise ConfigError(f"model {name!r} has no parameter {key!r}")
-        values[key] = float(val)
-        if not np.isfinite(values[key]):
-            raise ConfigError(f"model {name!r} parameter {key!r} must be finite, got {values[key]}")
-    return ModelParams(name=name, values=values)
 
 
 def _tracking_cost(ref, alpha, windowed: bool = False):
@@ -202,18 +117,21 @@ def _lq_volterra(v: dict) -> Problem:
     )
 
 
-def _diffusive(v: dict, memory: bool, with_L: bool, extra_kernels=None) -> Problem:
-    """Shared scaffolding of the diffusion-flux family."""
+def _diffusive(v: dict, extra_kernels=None, sink=None) -> Problem:
+    """Shared scaffolding of the diffusion-flux family.  A parameter A
+    makes the flux an exponentially relaxing memory, a parameter L adds a
+    time-derivative flux term, and a sink is subtracted from the running
+    term last."""
     K, c_u = v["K"], v["c_u"]
-    L = v.get("L", 0.0) if with_L else 0.0
-    A = v.get("A", 0.0)
+    with_L = "L" in v
+    L = v["L"] if with_L else 0.0
     init = _sin_profile(v["amp"])
 
-    if memory:
+    if "A" in v:
+        A = v["A"]
         relax = lambda a: np.exp(-A * (a.t - a.s))
-        def f1_fn(a):
-            out = relax(a) * (K * a.q + (L * a.q_dot if with_L else 0.0))
-            return out + c_u * a.u
+        def flux(a):
+            return relax(a) * (K * a.q + (L * a.q_dot if with_L else 0.0))
         partials = {
             "q": lambda a: (K * relax(a))[..., None],
             "u": lambda a: c_u,
@@ -221,12 +139,16 @@ def _diffusive(v: dict, memory: bool, with_L: bool, extra_kernels=None) -> Probl
         if with_L:
             partials["q_dot"] = lambda a: (L * relax(a))[..., None]
     else:
-        def f1_fn(a):
-            return K * a.q + (L * a.q_dot if with_L else 0.0) + c_u * a.u
+        def flux(a):
+            return K * a.q + (L * a.q_dot if with_L else 0.0)
         partials = {"q": lambda a: K, "u": lambda a: c_u}
         if with_L:
             partials["q_dot"] = lambda a: L
 
+    if sink is None:
+        f1_fn = lambda a: flux(a) + c_u * a.u
+    else:
+        f1_fn = lambda a: flux(a) + c_u * a.u - sink
     kernels = {
         "f0": Kernel(fn=lambda a: init(a) * np.ones_like(a.phi)),
         "f1": Kernel(fn=f1_fn, partials=partials),
@@ -247,7 +169,9 @@ def _diffusive(v: dict, memory: bool, with_L: bool, extra_kernels=None) -> Probl
 
 
 def _forest_fire(v: dict) -> Problem:
-    c_R, ell, v0 = v["c_R"], v["ell"], v["v0"]
+    """The memory-flux model plus a nonlocal radiation exchange (f3) and a
+    sink v0 in the running term."""
+    c_R, ell = v["c_R"], v["ell"]
 
     def radiation(a):
         kxy = np.exp(-(((a.x - a.y) / ell) ** 2))
@@ -257,28 +181,8 @@ def _forest_fire(v: dict) -> Problem:
         kxy = np.exp(-(((a.x - a.y) / ell) ** 2))
         return (c_R * kxy * (1.0 - np.tanh(a.phi) ** 2))[..., None]
 
-    problem = _diffusive(
-        v,
-        memory=True,
-        with_L=True,
-        extra_kernels={
-            "f3": Kernel(fn=radiation, partials={"phi": radiation_dphi}),
-        },
-    )
-    # sink enters the running term: subtract v0 inside f1
-    base = problem.kernels["f1"]
-    kernels = dict(problem.kernels)
-    kernels["f1"] = Kernel(
-        fn=lambda a, _f=base.fn: _f(a) - v0, partials=base.partials
-    )
-    return Problem(
-        n=1,
-        m_u=1,
-        m_w=1,
-        kernels=kernels,
-        cost_F1=problem.cost_F1,
-        cost_G1=problem.cost_G1,
-    )
+    f3 = Kernel(fn=radiation, partials={"phi": radiation_dphi})
+    return _diffusive(v, {"f3": f3}, sink=v["v0"])
 
 
 def _biload_demo(v: dict) -> Problem:
@@ -375,60 +279,140 @@ def _biload_demo(v: dict) -> Problem:
     )
 
 
+def _exp_reference(v: dict):
+    return lambda t, x: np.exp(t)[:, None] * np.ones((1, x.shape[0]))
+
+
+def _heat_reference(v: dict):
+    K, amp = v["K"], v["amp"]
+    return lambda t, x: amp * np.exp(-K * np.pi**2 * t)[:, None] * np.sin(
+        np.pi * x
+    )[None, :]
+
+
+def _diffusive_gain(v: dict, mesh: Mesh) -> float:
+    """The running diffusive term contributes K * lam * dt/2 through the
+    implicit self-weight of the trapezoid rule (lam = 4/dx^2 bounds the
+    second-difference spectrum); a time-derivative flux term contributes
+    an instantaneous 0.75 * L * lam through the running integral's top
+    end."""
+    lam = 4.0 / mesh.dx**2
+    gain = v["K"] * lam * mesh.dt / 2.0
+    if "L" in v:
+        gain += 0.75 * v["L"] * lam
+    return gain
+
+
+def _biload_gain(v: dict, mesh: Mesh) -> float:
+    """The weights of the live cross-load couplings: c4 of f4 twice, c2 of
+    g2 and the trace's self-coupling e_bd in g0."""
+    return 2.0 * v["c4"] + v["c2"] + v["e_bd"]
+
+
+def _flux_defaults(**leading) -> dict:
+    """Defaults of a diffusion-flux model: its own parameters, then the
+    control gains, initial amplitude and cost weights the family shares."""
+    return {**leading, "c_u": 1.0, "d_w": 1.0, "amp": 1.0, "alpha": 0.1, "gamma_w": 0.1}
+
+
+@dataclass(frozen=True)
+class _Builtin:
+    """A builtin model: its parameter defaults, its Problem builder
+    (values -> Problem), its analytic reference builder (values ->
+    callable (t_nodes, x_nodes) -> (Nt+1, Nx+1) array) if it has one, and
+    its stiffness gain ((values, mesh) -> float, see stiffness_gain) if its
+    sweeps have stiff content."""
+
+    defaults: dict
+    build: Callable
+    reference: Callable = None
+    gain: Callable = None
+
+
+_BUILTINS = {
+    "volterra_exp": _Builtin({"alpha": 0.1}, _volterra_exp, _exp_reference),
+    "lq_volterra": _Builtin({"a": -0.6, "b": 1.0, "c0": 0.5, "alpha": 0.1}, _lq_volterra),
+    "heat": _Builtin(_flux_defaults(K=1.0), _diffusive, _heat_reference, _diffusive_gain),
+    "barenblatt": _Builtin(_flux_defaults(K=1.0, L=0.01), _diffusive, gain=_diffusive_gain),
+    "integral_cv": _Builtin(_flux_defaults(K=1.0, A=1.0), _diffusive, gain=_diffusive_gain),
+    "integral_cv_barenblatt": _Builtin(
+        _flux_defaults(K=1.0, L=0.01, A=1.0), _diffusive, gain=_diffusive_gain
+    ),
+    "forest_fire_minimal": _Builtin(
+        _flux_defaults(K=0.2, L=1e-3, A=1.0, c_R=0.3, ell=0.3, v0=0.05),
+        _forest_fire,
+        gain=_diffusive_gain,
+    ),
+    "biload_demo": _Builtin(
+        {
+            "a1": 0.3,
+            "b1": 1.0,
+            "c_f0": 0.2,
+            "c4": 0.15,
+            "d4": 0.2,
+            "c5": 0.15,
+            "cg0": 0.25,
+            "e_bd": 0.2,
+            "d0": 1.0,
+            "c2": 0.2,
+            "c3": 0.2,
+            "e0": 1.0,
+            "cT": 0.3,
+            "ew0": 1.0,
+            "cTb": 0.3,
+            "alpha": 0.1,
+            "beta_bd": 0.2,
+            "gamma_w": 0.1,
+        },
+        _biload_demo,
+        gain=_biload_gain,
+    ),
+}
+
+#: Model name -> its parameter defaults.
+MODEL_SCHEMAS = {name: builtin.defaults for name, builtin in _BUILTINS.items()}
+MODEL_NAMES = tuple(_BUILTINS)
+
+
+def _builtin(name: str) -> _Builtin:
+    if name not in _BUILTINS:
+        raise ConfigError(
+            f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}"
+        )
+    return _BUILTINS[name]
+
+
+def make_params(name: str, **overrides) -> ModelParams:
+    """ModelParams with schema defaults and validated overrides."""
+    values = dict(_builtin(name).defaults)
+    for key, val in overrides.items():
+        if key not in values:
+            raise ConfigError(f"model {name!r} has no parameter {key!r}")
+        values[key] = float(val)
+        if not np.isfinite(values[key]):
+            raise ConfigError(f"model {name!r} parameter {key!r} must be finite, got {values[key]}")
+    return ModelParams(name=name, values=values)
+
+
 def make_model(params: ModelParams) -> Problem:
     """Instantiate a builtin model as a mesh-independent Problem."""
-    v = params.values
-    if params.name == "volterra_exp":
-        return _volterra_exp(v)
-    if params.name == "lq_volterra":
-        return _lq_volterra(v)
-    if params.name == "heat":
-        return _diffusive(v, memory=False, with_L=False)
-    if params.name == "barenblatt":
-        return _diffusive(v, memory=False, with_L=True)
-    if params.name == "integral_cv":
-        return _diffusive(v, memory=True, with_L=False)
-    if params.name == "integral_cv_barenblatt":
-        return _diffusive(v, memory=True, with_L=True)
-    if params.name == "forest_fire_minimal":
-        return _forest_fire(v)
-    if params.name == "biload_demo":
-        return _biload_demo(v)
-    raise ConfigError(f"unknown model {params.name!r}")
+    return _builtin(params.name).build(params.values)
 
 
 def model_reference(params: ModelParams):
     """Analytic trajectory reference for models that have one, as a
     callable (t_nodes, x_nodes) -> (Nt+1, Nx+1) array; None otherwise."""
-    if params.name == "volterra_exp":
-        return lambda t, x: np.exp(t)[:, None] * np.ones((1, x.shape[0]))
-    if params.name == "heat":
-        K, amp = params.values["K"], params.values["amp"]
-        return lambda t, x: amp * np.exp(-K * np.pi**2 * t)[:, None] * np.sin(
-            np.pi * x
-        )[None, :]
-    return None
+    reference = _builtin(params.name).reference
+    return None if reference is None else reference(params.values)
 
 
 def stiffness_gain(params: ModelParams, mesh: Mesh) -> float:
-    """Crude spectral bound of the sweep map's stiff content.
-
-    The running diffusive term contributes K * lam * dt/2 through the
-    implicit self-weight of the trapezoid rule (lam = 4/dx^2 bounds the
-    second-difference spectrum); a time-derivative flux term contributes
-    an instantaneous 0.75 * L * lam through the running integral's top
-    end.  Values well below one mean plain sweeps contract.
-    """
-    v = params.values
-    lam = 4.0 / mesh.dx**2
-    gain = 0.0
-    if "K" in v and params.name != "biload_demo":
-        gain += v["K"] * lam * mesh.dt / 2.0
-    if "L" in v:
-        gain += 0.75 * v["L"] * lam
-    if params.name == "biload_demo":
-        gain += 2.0 * v["c4"] + v["c2"] + v["e_bd"]
-    return gain
+    """Crude spectral bound of the sweep map's stiff content, as the
+    model's record declares it (the diffusive family's is
+    _diffusive_gain); 0.0 for a model without one.  Values well below one
+    mean plain sweeps contract."""
+    gain = _builtin(params.name).gain
+    return 0.0 if gain is None else gain(params.values, mesh)
 
 
 def picard_relax_hint(params: ModelParams, mesh: Mesh) -> float:

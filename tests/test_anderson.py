@@ -14,7 +14,7 @@ from biload.errors import DivergenceError
 from biload.forward import SolverConfig
 from biload.kernels import Kernel, Problem
 from biload.mesh import build_mesh
-from biload.state import derive_slots, pack, zero_controls
+from biload.state import bundle_of, derive_slots, pack, stack, zero_controls, zero_state
 
 #: horizon of each builtin, inside the envelope of relaxed Picard at 16x16
 HORIZONS = {
@@ -106,3 +106,41 @@ def test_members_keep_their_bits_beside_a_singular_history():
     for (x_new, rep_new), (x_old, rep_old) in zip(new, old):
         assert pack(x_new).tobytes() == pack(x_old).tobytes()
         assert repr(rep_new) == repr(rep_old)
+
+
+def test_a_singular_shifted_gram_falls_back_to_least_squares(monkeypatch):
+    # a member whose image is the constant 1 + 0.5 sin k at its k-th sweep
+    # has residuals along one direction only, and at sweep 95 elimination
+    # meets an exact zero pivot in its shifted Gram matrix.  The member
+    # beside it takes x + r_k, r_k a fixed normal draw per sweep, and keeps
+    # a regular Gram matrix
+    mesh = build_mesh(1.0, 8, 0.0, 1.0, 8)
+    x0 = zero_state(mesh, 1)
+    shapes = x0.shapes()
+
+    def sweeper():
+        count = [0]
+
+        def sweep(x, kind):
+            count[0] += 1
+            k = count[0]
+            wander = np.random.default_rng(k).standard_normal(x.flat.shape[-1])
+            image = np.where(kind.flat == 0.0, 1.0 + 0.5 * np.sin(k), x.flat + wander)
+            return bundle_of(type(x), image, shapes)
+
+        return sweep
+
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq_calls.append(1) or lstsq(*a, **k))
+    kinds = [x0, bundle_of(type(x0), np.ones_like(pack(x0)), shapes)]
+    cfg = SolverConfig(max_iter=150)
+    alone = [forward.fixed_point(sweeper(), stack([x0]), cfg, operands=(stack([kind]),))[0]
+             for kind in kinds]
+    assert lstsq_calls
+    together = forward.fixed_point(sweeper(), stack([x0, x0]), cfg, operands=(stack(kinds),))
+    for (x_alone, rep_alone), (x, rep) in zip(alone, together):
+        assert rep.iterations == cfg.max_iter and rep.error is None
+        assert np.all(np.isfinite(pack(x)))
+        assert pack(x).tobytes() == pack(x_alone).tobytes()
+        assert repr(rep) == repr(rep_alone)

@@ -278,3 +278,10 @@ def test_runs_are_byte_identical(tmp_path):
     assert codes[0] == codes[1]
     for name in ("phi.csv", "phi_bd.csv", "phi0.csv", "solve_report.csv", "grad_check.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_solver_failure_exits_3(tmp_path, capsys):
+    heat = (Path(__file__).resolve().parents[1] / "configs" / "heat.cfg").read_text()
+    cfg = _write_cfg(tmp_path, heat.replace("[solver]\n", "[solver]\ndivergence_guard = 0.001\n"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "diverged")]) == 3
+    assert capsys.readouterr().err == "error: iteration diverged: block phi exceeded guard 0.001\n"

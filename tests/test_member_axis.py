@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from biload import forward, kernels, models, verify
-from biload.errors import ConfigError, DivergenceError, KernelEvalError
+from biload.errors import ConfigError, DivergenceError, KernelEvalError, ShapeError
 from biload.forward import SolverConfig
 from biload.kernels import Kernel, Problem, eval_kernel, forward_contract
 from biload.mesh import build_mesh
@@ -214,6 +214,17 @@ def test_each_member_of_a_mixed_batch_ends_as_alone():
     new = batched(problem, MESH, members, cfg)
     _assert_outcomes(new, old)
     assert new[1][1].iterations == 8 > forward.ANDERSON_DEPTH
+def test_a_kernel_indexing_from_the_left_raises_shape_error_in_a_batch():
+    # u[..., 0][:, :, None] puts the component axis back in third place: right
+    # for a single solve, behind the member axis's grid axes in a batch
+    problem = _loading_problem(fn0=lambda a: a.u[..., 0][:, :, None])
+    members = _constant_members(problem, [(0.1, 0.2), (0.2, 0.1)])
+    cfg = SolverConfig(tol=1e-12)
+    assert all(rep.converged for _, rep in per_member(problem, MESH, members, cfg))
+    with pytest.raises(ShapeError, match=r"kernel f0: shape \(2, 7, 1, 7\) does not broadcast to \(2, 7, 7, 1\)"):
+        batched(problem, MESH, members, cfg)
+
+
 def test_an_earlier_non_convergence_is_reported_before_a_later_raise():
     problem = _loading_problem(fn0=lambda a: np.where(a.u > 5.0, np.nan, a.u) + 0.0 * a.t)
     # member 0 stops at max_iter, member 1 plants a NaN on its first sweep

@@ -7,10 +7,12 @@ from biload.kernels import kernel_args, validate_partials
 from biload.mesh import apply_axis, build_mesh
 from biload.models import (
     MODEL_NAMES,
+    ModelParams,
     make_model,
     make_params,
     model_reference,
     picard_relax_hint,
+    stiffness_gain,
 )
 from biload.state import derive_slots, zero_controls
 
@@ -18,6 +20,8 @@ from biload.state import derive_slots, zero_controls
 def test_unknown_model_rejected():
     with pytest.raises(ConfigError):
         make_params("shallow_water")
+    with pytest.raises(ConfigError, match="unknown model 'shallow_water'"):
+        make_model(ModelParams("shallow_water", {}))
 
 
 def test_unknown_parameter_rejected():
@@ -168,6 +172,44 @@ def test_relax_hint_backs_off_for_stiff_grids():
     assert picard_relax_hint(params, build_mesh(5e-4, 32, 0.0, 1.0, 32)) == 1.0
     hint = picard_relax_hint(params, build_mesh(0.25, 32, 0.0, 1.0, 32))
     assert 0.0 < hint < 0.2
+
+
+#: (N, model, stiffness gain, relax hint) as float.hex at N x N: T = 1 at
+#: N = 8, T = 0.01 at N = 40 (the gradient_fire workload's grid).  Pinned bit
+#: for bit because relax = auto applies the hint, so every solve's bits
+#: follow it.
+PINNED_GAINS = [
+    (8, "volterra_exp", "0x0.0p+0", "0x1.0000000000000p+0"),
+    (8, "lq_volterra", "0x0.0p+0", "0x1.0000000000000p+0"),
+    (8, "heat", "0x1.0000000000000p+4", "0x1.e1e1e1e1e1e1ep-5"),
+    (8, "barenblatt", "0x1.1eb851eb851ecp+4", "0x1.b0fb2103c9e09p-5"),
+    (8, "integral_cv", "0x1.0000000000000p+4", "0x1.e1e1e1e1e1e1ep-5"),
+    (8, "integral_cv_barenblatt", "0x1.1eb851eb851ecp+4", "0x1.b0fb2103c9e09p-5"),
+    (8, "forest_fire_minimal", "0x1.b22d0e560418ap+1", "0x1.d24d67fc45034p-3"),
+    (8, "biload_demo", "0x1.6666666666666p-1", "0x1.2d2d2d2d2d2d3p-1"),
+    (40, "volterra_exp", "0x0.0p+0", "0x1.0000000000000p+0"),
+    (40, "lq_volterra", "0x0.0p+0", "0x1.0000000000000p+0"),
+    (40, "heat", "0x1.9999999999999p-1", "0x1.1c71c71c71c72p-1"),
+    (40, "barenblatt", "0x1.8666666666665p+5", "0x1.48fef8cd9f5b9p-6"),
+    (40, "integral_cv", "0x1.9999999999999p-1", "0x1.1c71c71c71c72p-1"),
+    (40, "integral_cv_barenblatt", "0x1.8666666666665p+5", "0x1.48fef8cd9f5b9p-6"),
+    (40, "forest_fire_minimal", "0x1.3d70a3d70a3d7p+2", "0x1.579fc90527845p-3"),
+    (40, "biload_demo", "0x1.6666666666666p-1", "0x1.2d2d2d2d2d2d3p-1"),
+]
+
+
+@pytest.mark.parametrize("N, name, gain, hint", PINNED_GAINS)
+def test_gain_and_hint_are_pinned(N, name, gain, hint):
+    mesh = build_mesh(1.0 if N == 8 else 0.01, N, 0.0, 1.0, N)
+    params = make_params(name)
+    assert stiffness_gain(params, mesh).hex() == gain
+    assert picard_relax_hint(params, mesh).hex() == hint
+
+
+def test_every_builtin_has_pinned_gains():
+    assert {(N, name) for N, name, *_ in PINNED_GAINS} == {
+        (N, name) for N in (8, 40) for name in MODEL_NAMES
+    }
 
 
 def test_model_reference_matches_initial_profile():

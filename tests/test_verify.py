@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biload.errors import ConfigError
+from biload.errors import ConfigError, KernelEvalError
 from biload.forward import SolverConfig, sweep_map
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_curve_mesh, build_mesh
@@ -225,6 +225,37 @@ def test_gradient_check_lq_passes_and_is_deterministic():
     assert r1.passed
     assert [e.fd for e in r1.entries] == [e.fd for e in r2.entries]
     assert max(e.err_dto for e in r1.entries) <= 1e-5
+
+
+def test_gradient_check_raises_the_first_failing_members_own_error():
+    # the load is NaN wherever u exceeds 1: the solve at u = 1 converges, and
+    # the central-difference members stepping above 1 raise on their first
+    # sweep, each at its own first node above it
+    prob = Problem(
+        n=1,
+        m_u=1,
+        m_w=0,
+        kernels={
+            "f0": Kernel(fn=lambda a: np.where(a.u > 1.0, np.nan, a.u), partials={"u": lambda a: 1.0}),
+            "f1": Kernel(fn=lambda a: 0.5 * a.phi, partials={"phi": lambda a: 0.5}),
+        },
+        cost_F1=CostTerm(fn=lambda a: (a.phi**2).sum(-1), partials={"phi": lambda a: 2.0 * a.phi}),
+    )
+    ctrl = zero_controls(MESH, 1, 0)
+    ctrl.u[...] = 1.0
+    rng = np.random.default_rng(3)
+    dirs = [smooth_direction(MESH, "u", 1, rng) for _ in range(2)]
+    own = []
+    for d in dirs:
+        for step in (verify.FD_EPS, -verify.FD_EPS):
+            try:
+                verify.solve_forward(prob, MESH, verify._perturbed(ctrl, "u", d, step), TIGHT)
+            except KernelEvalError as exc:
+                own.append(str(exc))
+    assert len(set(own)) > 1
+    with pytest.raises(KernelEvalError) as info:
+        gradient_check(prob, MESH, ctrl, n_dirs=2, seed=3, cfg=TIGHT, use_dto=False, blocks=["u"])
+    assert str(info.value) == own[0]
 
 
 def test_gradient_check_names_corrupted_block():
