@@ -28,7 +28,6 @@ from .errors import ConfigError, DivergenceError, KernelEvalError, SingularSyste
 from .forward import SolverConfig, eval_cost, solve_forward
 from .mesh import Mesh, build_curve_mesh, build_mesh
 from .models import (
-    MODEL_SCHEMAS,
     ModelParams,
     make_model,
     make_params,
@@ -162,9 +161,7 @@ def parse_config(text: str) -> RunSpec:
 
     model_items = dict(sections["model"])
     name, _ = model_items.pop("name")
-    if name not in MODEL_SCHEMAS:
-        raise ConfigError(f"unknown model {name!r}")
-    schema = dict.fromkeys(MODEL_SCHEMAS[name], float)
+    schema = dict.fromkeys(make_params(name).values, float)
     params = make_params(name, **_typed(model_items, "model", schema, f"model {name} has no parameter {{!r}}"))
 
     solver = {**_SOLVER_DEFAULTS, **_typed(sections.get("solver", {}), "solver", _SOLVER_KEYS)}

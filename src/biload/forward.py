@@ -30,8 +30,11 @@ or fails; its bits are those of its own `solve_forward`, which passes no
 member axis, and its report's error is what that solve raises.  `sweep_map` and `eval_cost` keep the dtype of their inputs, so the
 dense oracle runs them on complex members (`verify.dto_solve`).
 
-Starting from the zero bundle, the iteration is deterministic: identical
-inputs give bitwise-identical results.
+The iteration is deterministic: identical inputs and starting bundle give
+bitwise-identical results.  Every solve starts from the zero bundle unless
+its caller passes a start (`solve_forward_many`'s starts, which
+`verify.gradient_check` sets to predicted states); a start changes the
+bits of the result, within the solve's tolerance, not its stop rule.
 """
 
 from __future__ import annotations
@@ -317,16 +320,21 @@ def _built_size(problem: Problem, mesh: Mesh, kid: str) -> int:
     return math.prod(node_shape(full, mesh.Nt, mesh.Nx))
 
 
-def solve_forward_many(problem: Problem, mesh: Mesh, controls_list, cfg: SolverConfig = None):
+def solve_forward_many(problem: Problem, mesh: Mesh, controls_list, cfg: SolverConfig = None,
+                       starts=None):
     """solve_forward at each bundle of controls_list, the members iterated
     together along a leading axis; yields one (state, SolveReport) per
     member, in order, bit for bit those of solve_forward.  A member whose
     own solve_forward raises DivergenceError or KernelEvalError ends alone,
     with that error as its report's error (see fixed_point); the state is
-    then the iterate it stopped at."""
+    then the iterate it stopped at.  starts, one state per member, replaces
+    the zero bundle as each member's first iterate; its stop rule is still
+    its own residual."""
     cfg, sweep = cfg or SolverConfig(), partial(sweep_map, problem, mesh)
+    if starts is None:
+        starts = [zero_state(mesh, problem.n)] * len(controls_list)
     for chunk in member_chunks(problem, mesh, len(controls_list)):
-        x0 = stack([zero_state(mesh, problem.n)] * len(chunk))
+        x0 = stack([starts[k] for k in chunk])
         yield from fixed_point(sweep, x0, cfg, operands=(stack([controls_list[k] for k in chunk]),))
 
 

@@ -369,8 +369,6 @@ _BUILTINS = {
     ),
 }
 
-#: Model name -> its parameter defaults.
-MODEL_SCHEMAS = {name: builtin.defaults for name, builtin in _BUILTINS.items()}
 MODEL_NAMES = tuple(_BUILTINS)
 
 

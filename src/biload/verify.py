@@ -54,6 +54,7 @@ from .state import (
     bundle_of,
     derive_slots,
     pack,
+    stack,
     zero_controls,
 )
 
@@ -98,6 +99,19 @@ def _fd_cost(problem, mesh, controls, solved) -> float:
     return eval_cost(problem, mesh, state, derive_slots(mesh, state), controls)
 
 
+def _fd_costs(problem, mesh, members, solved) -> list:
+    """_fd_cost of each member of the control bundles members at its
+    forward solution in solved, one eval_cost per member chunk; the first
+    member whose solve failed raises."""
+    states = [_solved_state(pair) for pair in solved]
+    costs = []
+    for chunk in member_chunks(problem, mesh, len(members)):
+        state, controls = (stack([bundles[k] for k in chunk]) for bundles in (states, members))
+        cost = eval_cost(problem, mesh, state, derive_slots(mesh, state), controls)
+        costs.append(np.broadcast_to(cost, len(chunk)))
+    return np.concatenate(costs).tolist()
+
+
 def fd_directional(
     problem: Problem,
     mesh: Mesh,
@@ -109,10 +123,13 @@ def fd_directional(
 ) -> float:
     """Central-difference directional derivative of the reduced cost.
 
-    Each evaluation re-solves the forward system at tight tolerance.  The
-    step trades truncation against solver-noise amplification; the default
-    pairs eps = 1e-5 with tol = 1e-12.  gradient_check solves the central
-    differences of all its directions as one batch.
+    Each evaluation re-solves the forward system at tight tolerance from
+    the zero bundle.  The step trades truncation against solver-noise
+    amplification; the default pairs eps = 1e-5 with tol = 1e-12.
+    gradient_check solves the central differences of all its directions as
+    one batch; without the dense oracle its entries are bit for bit this
+    function's, and with it its members start at predicted states, which
+    moves them within the solve tolerance.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(f"eps must be positive and finite, got {eps}")
@@ -168,6 +185,7 @@ class DtoResult:
     grad: ControlGradient
     multipliers: CoStateBundle
     state: StateBundle
+    tangents: list = field(default_factory=list)  # a StateBundle per direction
 
 
 def dto_solve(
@@ -175,6 +193,7 @@ def dto_solve(
     mesh: Mesh,
     controls: ControlBundle,
     cfg: SolverConfig = None,
+    directions=(),
 ) -> DtoResult:
     """Exact gradient of the discrete reduced cost via dense linearization.
 
@@ -186,6 +205,10 @@ def dto_solve(
     partials with respect to nodal control values, quadrature weights
     included).  The kernel bodies must be complex-analytic in the slot
     values, as every builtin is; the hand-written partials play no part.
+
+    With the state Jacobian A and the control Jacobian B, the tangent of
+    each control bundle d in directions is the state's derivative along
+    it, t = -A^-1 B d, from one more dense solve.
     """
     total = _unknowns(problem, mesh)
     if total > DTO_SIZE_CAP:
@@ -200,8 +223,10 @@ def dto_solve(
     images, dJdU = _linearized_columns(problem, mesh, controls, lambda c: (state, c))
     B = np.ascontiguousarray(images.T)
 
+    D = np.array([pack(d) for d in directions]).reshape(len(directions), B.shape[1])
     try:
         lam = np.linalg.solve(A.T, -dJdPhi)
+        tangents = np.ascontiguousarray(np.linalg.solve(A, -(B @ D.T)).T)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "discrete fixed point has a singular linearization"
@@ -211,6 +236,7 @@ def dto_solve(
         grad=ControlGradient(*bundle_of(ControlBundle, grad_flat, controls.shapes()).blocks()),
         multipliers=bundle_of(CoStateBundle, lam, state.shapes()),
         state=state,
+        tangents=[bundle_of(StateBundle, t, state.shapes()) for t in tangents],
     )
 
 
@@ -378,7 +404,11 @@ def gradient_check(
     against central differences over random smooth directions.
 
     The dense oracle participates automatically when the grid is inside
-    its size cap.  Deterministic for fixed (seed, inputs).
+    its size cap.  It then also gives each direction's state tangent t,
+    and the members of its central difference start at their first-order
+    predictions, the base state plus and minus FD_EPS t; without it they
+    start from zero.  Either way a member stops only on its own residual.
+    Deterministic for fixed (seed, inputs).
     """
     check_count("n_dirs", n_dirs, 1)
     if blocks is not None and not blocks:
@@ -387,7 +417,14 @@ def gradient_check(
     costate_cfg = costate_cfg or cfg
     if use_dto is None:
         use_dto = _unknowns(problem, mesh) <= DTO_SIZE_CAP
-    dto = dto_solve(problem, mesh, controls, cfg) if use_dto else None
+    if blocks is None:
+        blocks = [b for b in CONTROL_BLOCKS if problem.slot_dim(b) > 0]
+    rng = np.random.default_rng(seed)
+    dirs = [(block, k, smooth_direction(mesh, block, problem.slot_dim(block), rng))
+            for block in blocks for k in range(n_dirs)]
+    zero = zero_controls(mesh, problem.m_u, problem.m_w)
+    units = [_perturbed(zero, b, d, 1.0) for b, _, d in dirs]
+    dto = dto_solve(problem, mesh, controls, cfg, units) if use_dto else None
     if dto is not None:
         state = dto.state
     else:
@@ -401,17 +438,15 @@ def gradient_check(
         raise DivergenceError("costate solve did not converge for gradient check")
     grad = control_gradient(problem, mesh, state, slots, controls, costate, cache)
 
-    if blocks is None:
-        blocks = [b for b in CONTROL_BLOCKS if problem.slot_dim(b) > 0]
     report = GradCheckReport(costate=costate, grad=grad)
-    rng = np.random.default_rng(seed)
-    dirs = [(block, k, smooth_direction(mesh, block, problem.slot_dim(block), rng))
-            for block in blocks for k in range(n_dirs)]
-    # the central differences of every direction, solved as one batch; the
-    # costs follow the members in order, so the first failing member raises
-    members = [_perturbed(controls, b, d, s) for b, _, d in dirs for s in (FD_EPS, -FD_EPS)]
-    solved = solve_forward_many(problem, mesh, members, cfg)
-    costs = [_fd_cost(problem, mesh, c, pair) for c, pair in zip(members, solved)]
+    # the central differences of every direction, solved as one batch
+    steps = (FD_EPS, -FD_EPS)
+    members = [_perturbed(controls, b, d, s) for b, _, d in dirs for s in steps]
+    base = pack(state)
+    starts = None if dto is None else [
+        bundle_of(StateBundle, base + s * t.flat, state.shapes()) for t in dto.tangents for s in steps]
+    solved = solve_forward_many(problem, mesh, members, cfg, starts)
+    costs = _fd_costs(problem, mesh, members, solved)
     for (block, k, direction), j_up, j_dn in zip(dirs, costs[::2], costs[1::2]):
         fd = (j_up - j_dn) / (2.0 * FD_EPS)
         adj = block_pairing(mesh, block, grad.block(block), direction)

@@ -83,13 +83,15 @@ def test_parse_duplicate_key_rejected():
 
 def test_build_controls_profiles():
     spec = parse_config(
-        MINIMAL.replace("volterra_exp", "heat") + "\n[controls]\nu = sin_x\nw = 1.5\n"
+        MINIMAL.replace("volterra_exp", "heat")
+        + "\n[controls]\nu = sin_x\nw = 1.5\nu0 = one\nwT = zero\n"
     )
     mesh = build_mesh(**spec.mesh)
     problem = make_model(spec.model)
     ctrl = build_controls(spec, mesh, problem)
     np.testing.assert_allclose(ctrl.u[0, :, 0], np.sin(np.pi * mesh.x))
     np.testing.assert_allclose(ctrl.w, 1.5)
+    assert np.all(ctrl.u0 == 1.0) and np.all(ctrl.wT == 0.0)
 
 
 def _write_cfg(tmp_path, text, name="run.cfg"):
@@ -212,6 +214,15 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "[solver]" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_unknown_model_is_a_config_error_naming_the_models(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, MINIMAL.replace("name = volterra_exp", "name = shallow_water"))
+    out = tmp_path / "unknown_model"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown model 'shallow_water'; available: volterra_exp, lq_volterra" in err
+    assert not out.exists()
 
 
 def test_non_finite_model_parameter_is_a_config_error(tmp_path, capsys):

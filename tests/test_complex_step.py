@@ -154,3 +154,24 @@ def test_a_non_analytic_kernel_fails_the_dense_oracle():
     report = verify.gradient_check(problem, mesh, controls, n_dirs=2, seed=0, cfg=cfg)
     assert not report.passed
     assert max(e.err_dto for e in report.entries) > verify.TOL_DTO
+
+
+@pytest.mark.parametrize("name", [*models.MODEL_NAMES, "full_table"])
+def test_tangents_solve_the_linearized_fixed_point(name):
+    # A t = -B d, each side from one complex sweep: A t is the derivative of
+    # the defect sweep(x) - x along t, B d that of the sweep along d
+    problem, mesh, state, controls, cfg = _solved(name)
+    zero, h = zero_controls(mesh, problem.m_u, problem.m_w), verify.CS_STEP
+    rng = np.random.default_rng(2)
+    directions = [bundle_of(type(zero), rng.standard_normal(pack(zero).size), zero.shapes())
+                  for _ in range(2)]
+    dto = verify.dto_solve(problem, mesh, controls, cfg, directions)
+    assert len(dto.tangents) == 2
+
+    def along(base, step):
+        return bundle_of(type(base), pack(base) + 1j * h * pack(step), base.shapes())
+
+    for d, t in zip(directions, dto.tangents):
+        A_t = sweep_map(problem, mesh, along(state, t), controls).flat.imag / h - pack(t)
+        B_d = sweep_map(problem, mesh, state, along(controls, d)).flat.imag / h
+        assert np.max(np.abs(A_t + B_d)) <= 1e-12 * np.max(np.abs(B_d))

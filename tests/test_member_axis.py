@@ -231,13 +231,12 @@ def test_an_earlier_non_convergence_is_reported_before_a_later_raise():
     members = _constant_members(problem, [(0.1, 0.2), (6.0, 0.0), (0.2, 0.1)])
     cfg = SolverConfig(tol=1e-12, max_iter=3)
 
-    def costs(solved):  # as gradient_check takes them
-        return [verify._fd_cost(problem, MESH, c, pair) for c, pair in zip(members, solved)]
-
     loop = (per_member(problem, MESH, [c], cfg)[0] for c in members)
-    old = _error(lambda: costs(loop))
+    old = _error(lambda: [verify._fd_cost(problem, MESH, c, pair) for c, pair in zip(members, loop)])
     assert old.startswith("DivergenceError: forward solve did not converge (residual ")
-    assert _error(lambda: costs(forward.solve_forward_many(problem, MESH, members, cfg))) == old
+    # as gradient_check takes them
+    solved = forward.solve_forward_many(problem, MESH, members, cfg)
+    assert _error(lambda: verify._fd_costs(problem, MESH, members, solved)) == old
 
 
 def test_non_finite_fd_steps_are_refused():
@@ -254,22 +253,66 @@ def test_an_empty_block_list_is_refused():
         verify.gradient_check(problem, MESH, controls, blocks=[])
 
 
-@pytest.mark.parametrize("name", ["heat", "biload_demo"])
-def test_gradient_check_matches_the_per_direction_loop(name):
+def _check_and_cold_loop(name, **kwargs):
+    """gradient_check with kwargs, its FD members' iteration counts, and
+    the cold per-direction loop's quotients for the same directions."""
     params, problem, (_, _, controls, _) = _members(name)
     cfg = SolverConfig(tol=1e-12, relax=models.picard_relax_hint(params, MESH), max_iter=4000)
     blocks = ["u", "w", "w0"] if name == "heat" else ["u", "uT", "wT"]
-    report = verify.gradient_check(problem, MESH, controls, n_dirs=2, seed=3, cfg=cfg, blocks=blocks)
+    sweeps = []
+
+    def counted(*args):
+        for state, report in forward.solve_forward_many(*args):
+            sweeps.append(report.iterations)
+            yield state, report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "solve_forward_many", counted)
+        report = verify.gradient_check(problem, MESH, controls, n_dirs=2, seed=3, cfg=cfg,
+                                       blocks=blocks, **kwargs)
+    assert [(e.block, e.direction) for e in report.entries] == [
+        (b, k) for b in blocks for k in range(2)
+    ]
     rng = np.random.default_rng(3)
     fds = []
     for block in blocks:
         for _ in range(2):
             d = verify.smooth_direction(MESH, block, problem.slot_dim(block), rng)
             fds.append(verify.fd_directional(problem, MESH, controls, block, d, 1e-5, cfg))
-    assert [e.fd for e in report.entries] == fds
-    assert [(e.block, e.direction) for e in report.entries] == [
-        (b, k) for b in blocks for k in range(2)
-    ]
+    return [e.fd for e in report.entries], sweeps, fds
+
+
+@pytest.mark.parametrize("name", ["heat", "biload_demo"])
+def test_gradient_check_matches_the_per_direction_loop(name):
+    # without the dense oracle the members start from zero, as
+    # fd_directional's solves do
+    got, _, fds = _check_and_cold_loop(name, use_dto=False)
+    assert got == fds
+
+
+@pytest.mark.parametrize("name", ["heat", "biload_demo"])
+def test_predicted_starts_agree_with_the_per_direction_loop(name):
+    got, sweeps, fds = _check_and_cold_loop(name)
+    _, cold, _ = _check_and_cold_loop(name, use_dto=False)
+    np.testing.assert_allclose(got, fds, rtol=1e-6, atol=0.0)
+    assert max(sweeps) <= 2 < min(cold)  # a first-order start is one or two sweeps from tol
+
+
+@pytest.mark.parametrize("name", ["heat", "biload_demo"])
+def test_a_zero_tangent_start_still_agrees_with_the_per_direction_loop(monkeypatch, name):
+    # the members start at the base state itself: the quotient rests on
+    # each member's own residual test, not on the tangent
+    real = verify.dto_solve
+
+    def zero_tangents(*args):
+        dto = real(*args)
+        for tangent in dto.tangents:
+            tangent.flat[...] = 0.0
+        return dto
+
+    monkeypatch.setattr(verify, "dto_solve", zero_tangents)
+    got, _, fds = _check_and_cold_loop(name)
+    np.testing.assert_allclose(got, fds, rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("name", ["biload_demo", "forest_fire_minimal", "integral_cv_barenblatt"])
@@ -315,6 +358,19 @@ def test_cost_of_a_member_bundle_matches_the_member_loop(name):
         together = cost(st, ct)
         assert together.shape == (3,)
         assert together.tobytes() == np.array([cost(s, c) for s, c in pairs]).tobytes()
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_batched_fd_costs_match_the_member_loop(monkeypatch, name):
+    problem = models.make_model(models.make_params(name))
+    _, states, _, members = _member_inputs(problem, MESH, 5, 11)
+    solved = [(s, forward.SolveReport(1, 0.0, True)) for s in states]
+    want = [verify._fd_cost(problem, MESH, c, pair) for c, pair in zip(members, solved)]
+    largest = max(forward._built_size(problem, MESH, k) for k in problem.kernels)
+    for budget, sizes in ((forward.BATCH_BYTES, [5]), (2 * 8 * problem.n * largest, [2, 2, 1])):
+        monkeypatch.setattr(forward, "BATCH_BYTES", budget)
+        assert [len(c) for c in forward.member_chunks(problem, MESH, 5)] == sizes
+        assert verify._fd_costs(problem, MESH, members, solved) == want
 
 
 def test_fire_radiation_term_keeps_the_raw_path_per_member(monkeypatch):

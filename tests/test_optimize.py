@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from biload.errors import ConfigError
+from biload.errors import ConfigError, DivergenceError
 from biload.forward import SolverConfig, solve_forward, eval_cost
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_mesh
-from biload.models import make_model, make_params
+from biload.models import make_model, make_params, picard_relax_hint
 from biload.optimize import OptimizeOptions, project, run_gd
 from biload.state import derive_slots, zero_controls
 
@@ -162,3 +162,17 @@ def test_options_max_outer_must_be_whole():
     # refused here, not by a TypeError from range() in run_gd
     with pytest.raises(ConfigError, match="max_outer must be a whole number"):
         OptimizeOptions(max_outer=2.5)
+
+
+def test_run_gd_raises_when_a_start_solve_does_not_converge():
+    # on heat at 8x8 the forward solve takes 123 sweeps and the costate 191
+    params = make_params("heat")
+    prob = make_model(params)
+    ctrl = zero_controls(MESH, prob.m_u, prob.m_w)
+    ctrl.u[...] = 0.5
+    cfg = lambda n: SolverConfig(tol=1e-10, relax=picard_relax_hint(params, MESH), max_iter=n)
+    opts = OptimizeOptions(max_outer=1)
+    with pytest.raises(DivergenceError, match="forward solve did not converge at the initial controls"):
+        run_gd(prob, MESH, ctrl, opts, cfg(100))
+    with pytest.raises(DivergenceError, match="^costate solve did not converge$"):
+        run_gd(prob, MESH, ctrl, opts, cfg(150))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biload.errors import ConfigError, KernelEvalError
+from biload.errors import ConfigError, DivergenceError, KernelEvalError, SingularSystemError
 from biload.forward import SolverConfig, sweep_map
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_curve_mesh, build_mesh
@@ -105,6 +105,31 @@ def test_dto_size_cap():
     mesh = build_mesh(1.0, 40, 0.0, 1.0, 40)
     with pytest.raises(ConfigError, match="limited to 1500 unknowns, grid has 1849"):
         dto_solve(prob, mesh, zero_controls(mesh, 1, 0))
+
+
+def test_dto_refuses_a_singular_linearization():
+    # the interior sweep is the identity, so the solve from zero converges
+    # at once but the defect's Jacobian has a zero row per interior node
+    prob = Problem(
+        n=1,
+        m_u=1,
+        m_w=0,
+        kernels={"f0": Kernel(fn=lambda a: a.phi + 0.0 * a.u)},
+        cost_F1=CostTerm(fn=lambda a: (a.phi**2).sum(-1)),
+    )
+    ctrl = zero_controls(MESH, 1, 0)
+    assert verify.solve_forward(prob, MESH, ctrl, TIGHT)[1].converged
+    with pytest.raises(SingularSystemError, match="singular linearization"):
+        dto_solve(prob, MESH, ctrl, TIGHT)
+
+
+def test_gradient_check_raises_when_the_costate_does_not_converge():
+    prob = make_model(make_params("lq_volterra"))
+    ctrl = zero_controls(MESH, 1, 0)
+    ctrl.u[...] = 0.5
+    with pytest.raises(DivergenceError, match="costate solve did not converge for gradient check"):
+        gradient_check(prob, MESH, ctrl, n_dirs=1, cfg=TIGHT,
+                       costate_cfg=SolverConfig(tol=1e-12, max_iter=1))
 
 
 def test_linearized_sweep_matches_fd_of_sweep_map():
