@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .forward import SolverConfig, fixed_point
 from .kernels import (
     SLOT_FAMILIES,
@@ -235,6 +235,26 @@ def control_gradient(
     """
     AH = assemble_h_partials(problem, mesh, state, slots, controls, costate, cache)
     return ControlGradient(*(AH[block] for block in CONTROL_BLOCKS))
+
+
+def costate_gradient(
+    problem: Problem,
+    mesh: Mesh,
+    state: StateBundle,
+    slots: DerivedSlots,
+    controls: ControlBundle,
+    cfg: SolverConfig = None,
+    context: str = "",
+):
+    """(costate, ControlGradient) at a solved state: one partial_cache
+    serves the costate solve and the control gradient.  Raises
+    DivergenceError, its message ending in context, when the costate solve
+    does not converge."""
+    cache = partial_cache(problem, mesh, (state, slots, controls))
+    costate, report = solve_costate(problem, mesh, state, slots, controls, cfg, cache)
+    if not report.converged:
+        raise DivergenceError("costate solve did not converge" + context)
+    return costate, control_gradient(problem, mesh, state, slots, controls, costate, cache)
 
 
 def block_pairing(mesh: Mesh, block: str, g: np.ndarray, d: np.ndarray) -> float:

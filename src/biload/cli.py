@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,6 +96,25 @@ _PROFILES = {
     "sin_t": ("i", lambda z: np.sin(np.pi * z)),
     "bump_x": ("j", lambda z: 4.0 * z * (1.0 - z)),
 }
+
+
+def _control_init(block: str, value: str) -> tuple:
+    """A [controls] value of block: a finite number v gives ("const", v), a
+    profile name ("profile", name)."""
+    if value in _PROFILES:
+        return "profile", value
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(
+            f"control init must be a number or one of {', '.join(_PROFILES)}"
+        ) from None
+    if not np.isfinite(number):
+        raise ConfigError(f"control {block} must be finite, got {value!r}")
+    return "const", number
+
+
+_CONTROL_KEYS = {block: functools.partial(_control_init, block) for block in CONTROL_BLOCKS}
 
 
 def _strip(line: str) -> str:
@@ -178,23 +198,7 @@ def parse_config(text: str) -> RunSpec:
         raise ConfigError(f"[optimize]: {exc}") from None
 
     controls = {block: ("const", 0.0) for block in CONTROL_BLOCKS}
-    for key, (value, lineno) in sections.get("controls", {}).items():
-        if key not in CONTROL_BLOCKS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [controls]")
-        try:
-            controls[key] = ("const", float(value))
-        except ValueError:
-            pass
-        else:
-            if not np.isfinite(controls[key][1]):
-                raise ConfigError(f"line {lineno}: control {key} must be finite, got {value!r}")
-            continue
-        if value not in _PROFILES:
-            raise ConfigError(
-                f"line {lineno}: control init must be a number or one of "
-                f"{', '.join(_PROFILES)}"
-            )
-        controls[key] = ("profile", value)
+    controls.update(_typed(sections.get("controls", {}), "controls", _CONTROL_KEYS))
 
     outdir = _typed(sections.get("output", {}), "output", {"dir": str}).get("dir", "out")
     return RunSpec(

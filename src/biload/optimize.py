@@ -24,7 +24,7 @@ from operator import mul
 
 import numpy as np
 
-from .adjoint import control_gradient, gradient_norm2, partial_cache, solve_costate
+from .adjoint import costate_gradient, gradient_norm2
 from .errors import ConfigError, DivergenceError, KernelEvalError, check_count
 from .forward import SolverConfig, eval_cost, member_chunks, solve_forward, solve_forward_many
 from .kernels import Problem
@@ -125,15 +125,6 @@ def run_gd(
     history = OptimizeHistory()
     best_controls, best_J = controls.copy(), J
 
-    def fresh_gradient():
-        cache = partial_cache(problem, mesh, (state, slots, controls))
-        costate, crep = solve_costate(
-            problem, mesh, state, slots, controls, solver_cfg, cache
-        )
-        if not crep.converged:
-            raise DivergenceError("costate solve did not converge")
-        return control_gradient(problem, mesh, state, slots, controls, costate, cache)
-
     def line_search():
         """The first ladder member passing Armijo, as (step, controls, state,
         slots, J, report), or None.  A member that leaves the guard is
@@ -161,7 +152,7 @@ def run_gd(
         history.members.append(members)
         return found
 
-    grad = fresh_gradient()
+    _, grad = costate_gradient(problem, mesh, state, slots, controls, solver_cfg)
     gnorm2 = gradient_norm2(mesh, grad)
     gnorm = float(np.sqrt(gnorm2))
     history.rows.append((0, J, gnorm, 0.0, rep.iterations))
@@ -178,7 +169,7 @@ def run_gd(
         step, controls, state, slots, J, rep = found
         if J < best_J:
             best_controls, best_J = controls.copy(), J
-        grad = fresh_gradient()
+        _, grad = costate_gradient(problem, mesh, state, slots, controls, solver_cfg)
         gnorm2 = gradient_norm2(mesh, grad)
         gnorm = float(np.sqrt(gnorm2))
         history.rows.append((outer, J, gnorm, step, rep.iterations))

@@ -3,14 +3,16 @@
 Two oracles cross-validate the adjoint machinery.  The finite-difference
 oracle differentiates the whole pipeline (forward solve plus cost) with
 central differences.  The dense discrete oracle linearizes the actual
-discrete sweep map and cost around the converged state by complex step,
+discrete sweep map and cost around the state it is given by complex step,
 running `sweep_map` and `eval_cost` themselves at complex members, so no
 hand-written partial enters it (the kernel bodies must be complex-analytic
 in the slot values).  It solves the transposed linear system for the
-multipliers and returns the exact gradient of the discrete cost, up to
-linear-solve roundoff.  The two must agree tightly; the costate-based
-gradient, built from the hand partials, converges to them under mesh
-refinement.
+multipliers; at a fixed point the caller solved, the result is the exact
+gradient of the discrete cost, up to linear-solve roundoff and the solve's
+own residual.  The two must agree tightly; the costate-based gradient
+(`adjoint.costate_gradient`), built from the hand partials, converges to
+them under mesh refinement.  Both oracles of `gradient_check` read one
+forward solve.
 
 Also here: the two integration-by-parts residuals for running-derivative
 cost terms, the closed-curve pairing that certifies the discrete
@@ -25,13 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import (
-    ControlGradient,
-    block_pairing,
-    control_gradient,
-    partial_cache,
-    solve_costate,
-)
+from .adjoint import ControlGradient, block_pairing, costate_gradient
 from .errors import ConfigError, DivergenceError, SingularSystemError, check_count
 from .forward import (
     SolverConfig,
@@ -94,13 +90,8 @@ def _solved_state(solved, context: str = "") -> StateBundle:
     return state
 
 
-def _fd_cost(problem, mesh, controls, solved) -> float:
-    state = _solved_state(solved)
-    return eval_cost(problem, mesh, state, derive_slots(mesh, state), controls)
-
-
 def _fd_costs(problem, mesh, members, solved) -> list:
-    """_fd_cost of each member of the control bundles members at its
+    """The cost of each member of the control bundles members at its
     forward solution in solved, one eval_cost per member chunk; the first
     member whose solve failed raises."""
     states = [_solved_state(pair) for pair in solved]
@@ -138,9 +129,9 @@ def fd_directional(
     if getattr(controls, block).shape != np.asarray(direction).shape:
         raise ConfigError(f"direction shape mismatch for block {block!r}")
     cfg = cfg or _TIGHT
-    up, dn = (_perturbed(controls, block, direction, s) for s in (eps, -eps))
-    j_up = _fd_cost(problem, mesh, up, solve_forward(problem, mesh, up, cfg))
-    j_dn = _fd_cost(problem, mesh, dn, solve_forward(problem, mesh, dn, cfg))
+    members = [_perturbed(controls, block, direction, s) for s in (eps, -eps)]
+    solved = [solve_forward(problem, mesh, c, cfg) for c in members]
+    j_up, j_dn = _fd_costs(problem, mesh, members, solved)
     return (j_up - j_dn) / (2.0 * eps)
 
 
@@ -184,18 +175,20 @@ def _linearized_columns(problem, mesh, base, at):
 class DtoResult:
     grad: ControlGradient
     multipliers: CoStateBundle
-    state: StateBundle
     tangents: list = field(default_factory=list)  # a StateBundle per direction
 
 
 def dto_solve(
     problem: Problem,
     mesh: Mesh,
+    state: StateBundle,
     controls: ControlBundle,
-    cfg: SolverConfig = None,
     directions=(),
 ) -> DtoResult:
-    """Exact gradient of the discrete reduced cost via dense linearization.
+    """Gradient of the discrete reduced cost via dense linearization at
+    state, which the caller solved: exact when state is the fixed point of
+    controls, and at any other state the same linear algebra on the
+    Jacobians there.  Runs no forward solve.
 
     Builds the Jacobian of the fixed-point defect column by column, each
     column the complex-step derivative of the sweep itself along one
@@ -215,8 +208,6 @@ def dto_solve(
         raise ConfigError(
             f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {total}"
         )
-    solved = solve_forward(problem, mesh, controls, cfg or _TIGHT)
-    state = _solved_state(solved, " for the dense oracle")
 
     images, dJdPhi = _linearized_columns(problem, mesh, state, lambda s: (s, controls))
     A = np.ascontiguousarray(images.T) - np.eye(total)
@@ -235,7 +226,6 @@ def dto_solve(
     return DtoResult(
         grad=ControlGradient(*bundle_of(ControlBundle, grad_flat, controls.shapes()).blocks()),
         multipliers=bundle_of(CoStateBundle, lam, state.shapes()),
-        state=state,
         tangents=[bundle_of(StateBundle, t, state.shapes()) for t in tangents],
     )
 
@@ -403,7 +393,9 @@ def gradient_check(
     """Cross-validate adjoint and dense-oracle directional derivatives
     against central differences over random smooth directions.
 
-    The dense oracle participates automatically when the grid is inside
+    One forward solve at cfg gives the state both gradients read: the
+    costate gradient (costate_cfg) and the dense oracle, whose gradient is
+    exact at that fixed point.  The dense oracle participates automatically when the grid is inside
     its size cap.  It then also gives each direction's state tangent t,
     and the members of its central difference start at their first-order
     predictions, the base state plus and minus FD_EPS t; without it they
@@ -424,19 +416,10 @@ def gradient_check(
             for block in blocks for k in range(n_dirs)]
     zero = zero_controls(mesh, problem.m_u, problem.m_w)
     units = [_perturbed(zero, b, d, 1.0) for b, _, d in dirs]
-    dto = dto_solve(problem, mesh, controls, cfg, units) if use_dto else None
-    if dto is not None:
-        state = dto.state
-    else:
-        state = _solved_state(solve_forward(problem, mesh, controls, cfg), " for gradient check")
-    slots = derive_slots(mesh, state)
-    cache = partial_cache(problem, mesh, (state, slots, controls))
-    costate, crep = solve_costate(
-        problem, mesh, state, slots, controls, costate_cfg, cache
-    )
-    if not crep.converged:
-        raise DivergenceError("costate solve did not converge for gradient check")
-    grad = control_gradient(problem, mesh, state, slots, controls, costate, cache)
+    state = _solved_state(solve_forward(problem, mesh, controls, cfg), " for gradient check")
+    dto = dto_solve(problem, mesh, state, controls, units) if use_dto else None
+    costate, grad = costate_gradient(problem, mesh, state, derive_slots(mesh, state), controls,
+                                     costate_cfg, " for gradient check")
 
     report = GradCheckReport(costate=costate, grad=grad)
     # the central differences of every direction, solved as one batch

@@ -19,7 +19,7 @@ from biload.state import (
     zero_costate,
     zero_state,
 )
-from biload.verify import dto_solve, smooth_direction
+from biload.verify import _TIGHT, dto_solve, smooth_direction
 
 MESH = build_mesh(1.0, 8, 0.0, 1.0, 8)
 TIGHT = SolverConfig(tol=1e-12)
@@ -176,9 +176,10 @@ def test_running_model_phi_partial_structure():
 def test_costate_matches_dense_oracle_multipliers():
     prob = make_model(make_params("lq_volterra"))
     ctrl = zero_controls(MESH, 1, 0)
-    res = dto_solve(prob, MESH, ctrl)
-    slots = derive_slots(MESH, res.state)
-    co, rep = solve_costate(prob, MESH, res.state, slots, ctrl, SolverConfig(tol=1e-13))
+    state, _ = solve_forward(prob, MESH, ctrl, _TIGHT)
+    res = dto_solve(prob, MESH, state, ctrl)
+    slots = derive_slots(MESH, state)
+    co, rep = solve_costate(prob, MESH, state, slots, ctrl, SolverConfig(tol=1e-13))
     assert rep.converged
     normalized = res.multipliers.psi / (MESH.wt[:, None, None] * MESH.wx[None, :, None])
     assert np.max(np.abs(co.psi - normalized)) <= 1e-12

@@ -19,6 +19,8 @@ from biload.kernels import Kernel, Problem, validate_partials
 from biload.mesh import build_mesh
 from biload.state import (
     CONTROL_BLOCKS,
+    LAYOUTS,
+    StateBundle,
     bundle_of,
     derive_slots,
     pack,
@@ -31,16 +33,17 @@ from test_full_table import _full_problem
 MESH = build_mesh(0.05, 6, 0.0, 1.0, 6)
 
 
-def _solved(name):
+def _solved(name, mesh=MESH):
     """(problem, mesh, state, controls, cfg): a builtin at smooth nonzero
-    controls, or the full-table problem at zero controls, and its solution."""
+    controls on mesh, or the full-table problem at zero controls on its
+    own mesh, and its solution."""
     if name == "full_table":
         problem, mesh = _full_problem(), FULL_MESH
         controls = zero_controls(mesh, problem.m_u, problem.m_w)
         cfg = SolverConfig(tol=1e-12)
     else:
         params = models.make_params(name)
-        problem, mesh = models.make_model(params), MESH
+        problem = models.make_model(params)
         controls = zero_controls(mesh, problem.m_u, problem.m_w)
         rng = np.random.default_rng(0)
         for block in CONTROL_BLOCKS:
@@ -69,11 +72,26 @@ def test_complex_step_columns_match_the_hand_linearization(name):
                         hand_columns(problem, mesh, state, controls)):
         assert new.shape == old.shape
         assert_agree(name, new, old)
-    dto = verify.dto_solve(problem, mesh, controls, cfg)
-    assert pack(dto.state).tobytes() == pack(state).tobytes()
+    dto = verify.dto_solve(problem, mesh, state, controls)
     grad = np.concatenate([dto.grad.block(b).ravel() for b in CONTROL_BLOCKS])
     for new, old in zip((grad, pack(dto.multipliers)), hand_dto(problem, mesh, state, controls)):
         assert_agree(name, new, old)
+
+
+@pytest.mark.parametrize("name", [*models.MODEL_NAMES, "full_table"])
+def test_the_dense_oracle_linearizes_the_state_it_is_given(name):
+    # at the solved state and off it, along a seeded smooth field on every
+    # block, gradient and multipliers are those of the hand linearization there
+    problem, mesh, state, controls, _ = _solved(name, build_mesh(0.05, 5, 0.0, 1.0, 5))
+    rng = np.random.default_rng(3)
+    smooth = StateBundle(**{L.state: verify.smooth_direction(mesh, L.control, problem.n, rng)
+                            for L in LAYOUTS})
+    moved = bundle_of(StateBundle, pack(state) + 0.1 * pack(smooth), state.shapes())
+    for at in (state, moved):
+        dto = verify.dto_solve(problem, mesh, at, controls)
+        grad = np.concatenate([dto.grad.block(b).ravel() for b in CONTROL_BLOCKS])
+        for new, old in zip((grad, pack(dto.multipliers)), hand_dto(problem, mesh, at, controls)):
+            assert_agree(name, new, old)
 
 
 def _per_column(problem, mesh, base, at):
@@ -123,9 +141,10 @@ def test_fire_chunks_are_sized_from_the_raw_radiation_array(monkeypatch):
     controls = zero_controls(mesh, 1, 1)
     controls.u[...] = 0.5
     cfg = SolverConfig(tol=1e-12, relax=models.picard_relax_hint(params, mesh), max_iter=4000)
-    together = verify.dto_solve(problem, mesh, controls, cfg)
+    state, _ = solve_forward(problem, mesh, controls, cfg)
+    together = verify.dto_solve(problem, mesh, state, controls)
     monkeypatch.setattr(forward, "BATCH_BYTES", 1)  # one column per complex sweep
-    alone = verify.dto_solve(problem, mesh, controls, cfg)
+    alone = verify.dto_solve(problem, mesh, state, controls)
     for block in CONTROL_BLOCKS:
         assert together.grad.block(block).tobytes() == alone.grad.block(block).tobytes()
     assert pack(together.multipliers).tobytes() == pack(alone.multipliers).tobytes()
@@ -165,7 +184,7 @@ def test_tangents_solve_the_linearized_fixed_point(name):
     rng = np.random.default_rng(2)
     directions = [bundle_of(type(zero), rng.standard_normal(pack(zero).size), zero.shapes())
                   for _ in range(2)]
-    dto = verify.dto_solve(problem, mesh, controls, cfg, directions)
+    dto = verify.dto_solve(problem, mesh, state, controls, directions)
     assert len(dto.tangents) == 2
 
     def along(base, step):

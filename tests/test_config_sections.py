@@ -46,6 +46,9 @@ def _without(key: str) -> str:
         (_with("optimize", "bogus = 1"), "line 26: unknown key 'bogus' in [optimize]"),
         (_with("optimize", "backtrack = 2"), "[optimize]: backtrack must lie in (0, 1)"),
         (_with("controls", "bogus = 1"), "line 26: unknown key 'bogus' in [controls]"),
+        (_with("controls", "w = -inf"), "line 26: control w must be finite, got '-inf'"),
+        (_with("controls", "u = ramp"),
+         "line 26: control init must be a number or one of zero, one, sin_x, sin_t, bump_x"),
         (_with("output", "bogus = x"), "line 23: unknown key 'bogus' in [output]"),
     ],
 )

@@ -217,7 +217,7 @@ def test_gradient_check_builds_one_partial_cache(monkeypatch):
         calls.append(1)
         return partial_cache(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "partial_cache", counted)
+    monkeypatch.setattr(adjoint, "partial_cache", counted)
     cfg = SolverConfig(tol=1e-12, relax=models.picard_relax_hint(params, MESH), max_iter=2000)
     verify.gradient_check(problem, MESH, controls, n_dirs=1, cfg=cfg, use_dto=True, blocks=["u"])
     assert len(calls) == 1
@@ -230,7 +230,7 @@ def test_flat_iterate_keeps_gradient_check_entries():
     params, problem, controls = _model("biload_demo")
     cfg = SolverConfig(tol=1e-12, relax=models.picard_relax_hint(params, MESH), max_iter=2000)
     report = verify.gradient_check(problem, MESH, controls, n_dirs=1, cfg=cfg, blocks=["u"])
-    state = verify.dto_solve(problem, MESH, controls, cfg).state
+    state, _ = forward.solve_forward(problem, MESH, controls, cfg)
     slots = derive_slots(MESH, state)
     cache = partial_cache(problem, MESH, (state, slots, controls))
     costate, _ = adjoint.solve_costate(problem, MESH, state, slots, controls, cfg, cache)

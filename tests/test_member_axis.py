@@ -225,6 +225,13 @@ def test_a_kernel_indexing_from_the_left_raises_shape_error_in_a_batch():
         batched(problem, MESH, members, cfg)
 
 
+def _member_cost(problem, mesh, controls, solved):
+    """The cost of one member at its forward solution (state, report), or
+    the solve's error: the per-member loop that verify._fd_costs batches."""
+    state = verify._solved_state(solved)
+    return forward.eval_cost(problem, mesh, state, derive_slots(mesh, state), controls)
+
+
 def test_an_earlier_non_convergence_is_reported_before_a_later_raise():
     problem = _loading_problem(fn0=lambda a: np.where(a.u > 5.0, np.nan, a.u) + 0.0 * a.t)
     # member 0 stops at max_iter, member 1 plants a NaN on its first sweep
@@ -232,7 +239,7 @@ def test_an_earlier_non_convergence_is_reported_before_a_later_raise():
     cfg = SolverConfig(tol=1e-12, max_iter=3)
 
     loop = (per_member(problem, MESH, [c], cfg)[0] for c in members)
-    old = _error(lambda: [verify._fd_cost(problem, MESH, c, pair) for c, pair in zip(members, loop)])
+    old = _error(lambda: [_member_cost(problem, MESH, c, pair) for c, pair in zip(members, loop)])
     assert old.startswith("DivergenceError: forward solve did not converge (residual ")
     # as gradient_check takes them
     solved = forward.solve_forward_many(problem, MESH, members, cfg)
@@ -326,7 +333,7 @@ def test_batched_dense_oracle_matches_the_column_loop(monkeypatch, name):
     want = hand_dto(problem, mesh, state, controls)
     for budget in (forward.BATCH_BYTES, 40_000):  # one chunk, then several
         monkeypatch.setattr(forward, "BATCH_BYTES", budget)
-        dto = verify.dto_solve(problem, mesh, controls, cfg)
+        dto = verify.dto_solve(problem, mesh, state, controls)
         got = np.concatenate([dto.grad.block(b).ravel() for b in CONTROL_BLOCKS]), pack(dto.multipliers)
         for new, old in zip(got, want):
             assert_agree(name, new, old)
@@ -365,7 +372,7 @@ def test_batched_fd_costs_match_the_member_loop(monkeypatch, name):
     problem = models.make_model(models.make_params(name))
     _, states, _, members = _member_inputs(problem, MESH, 5, 11)
     solved = [(s, forward.SolveReport(1, 0.0, True)) for s in states]
-    want = [verify._fd_cost(problem, MESH, c, pair) for c, pair in zip(members, solved)]
+    want = [_member_cost(problem, MESH, c, pair) for c, pair in zip(members, solved)]
     largest = max(forward._built_size(problem, MESH, k) for k in problem.kernels)
     for budget, sizes in ((forward.BATCH_BYTES, [5]), (2 * 8 * problem.n * largest, [2, 2, 1])):
         monkeypatch.setattr(forward, "BATCH_BYTES", budget)

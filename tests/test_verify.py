@@ -6,7 +6,7 @@ from biload.forward import SolverConfig, sweep_map
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_curve_mesh, build_mesh
 from biload.models import make_model, make_params, model_reference, picard_relax_hint
-from biload.state import derive_slots, pack, zero_controls
+from biload.state import derive_slots, pack, zero_controls, zero_state
 from biload import verify
 from biload.verify import (
     dto_solve,
@@ -76,7 +76,8 @@ def test_dto_gradient_decoupled_control_energy():
     prob = _control_cost_problem()
     ctrl = zero_controls(MESH, 1, 0)
     ctrl.u[:] = 0.9
-    grad = dto_solve(prob, MESH, ctrl).grad
+    state, _ = verify.solve_forward(prob, MESH, ctrl, verify._TIGHT)
+    grad = dto_solve(prob, MESH, state, ctrl).grad
     expected = 2.0 * ctrl.u * MESH.wt[:, None, None] * MESH.wx[None, :, None]
     np.testing.assert_allclose(grad.g_u, expected, atol=1e-10)
 
@@ -87,7 +88,8 @@ def test_dto_matches_fd(name):
     ctrl = zero_controls(MESH, prob.m_u, prob.m_w)
     if name == "volterra_exp":
         ctrl.u[:] = 0.3  # make the decoupled gradient nonzero
-    grad = dto_solve(prob, MESH, ctrl).grad
+    state, _ = verify.solve_forward(prob, MESH, ctrl, verify._TIGHT)
+    grad = dto_solve(prob, MESH, state, ctrl).grad
     rng = np.random.default_rng(1)
     for block in ("u", "w"):
         dim = prob.m_u if block == "u" else prob.m_w
@@ -104,7 +106,7 @@ def test_dto_size_cap():
     prob = make_model(make_params("lq_volterra"))
     mesh = build_mesh(1.0, 40, 0.0, 1.0, 40)
     with pytest.raises(ConfigError, match="limited to 1500 unknowns, grid has 1849"):
-        dto_solve(prob, mesh, zero_controls(mesh, 1, 0))
+        dto_solve(prob, mesh, zero_state(mesh, 1), zero_controls(mesh, 1, 0))
 
 
 def test_dto_refuses_a_singular_linearization():
@@ -118,9 +120,10 @@ def test_dto_refuses_a_singular_linearization():
         cost_F1=CostTerm(fn=lambda a: (a.phi**2).sum(-1)),
     )
     ctrl = zero_controls(MESH, 1, 0)
-    assert verify.solve_forward(prob, MESH, ctrl, TIGHT)[1].converged
+    state, report = verify.solve_forward(prob, MESH, ctrl, TIGHT)
+    assert report.converged
     with pytest.raises(SingularSystemError, match="singular linearization"):
-        dto_solve(prob, MESH, ctrl, TIGHT)
+        dto_solve(prob, MESH, state, ctrl)
 
 
 def test_gradient_check_raises_when_the_costate_does_not_converge():

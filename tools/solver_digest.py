@@ -6,9 +6,9 @@ For each of the 8 builtin models on a small grid with smooth nonzero
 controls, prints one line ``<model> <step> <sha256>`` per step, hashing the
 raw bytes of its result: forward (the state and its residual history),
 cost, costate (the costate and its residual history), gradient (the control
-gradient), dto (the `dto_solve` gradient), gradcheck (the fd, adjoint and
-dto values of the `gradient_check` entries, two directions per control
-block) and partials (the `validate_partials` entries).  A step that raises
+gradient), dto (the `dto_solve` gradient at the step's own forward
+solve), gradcheck (the fd, adjoint and dto values of the `gradient_check`
+entries, two directions per control block) and partials (the `validate_partials` entries).  A step that raises
 hashes only its exception type; the steps that need its result print no
 line.  The package is imported from the ``src/`` next to this script, so
 running it in two checkouts and diffing the outputs shows which steps a
@@ -97,7 +97,8 @@ def model_digest(name: str) -> list:
         if co is not None:
             _step(lines, "gradient", lambda: adjoint.control_gradient(
                 problem, mesh, st, slots, controls, co[0]).__dict__)
-    _step(lines, "dto", lambda: verify.dto_solve(problem, mesh, controls, cfg).grad.__dict__)
+    _step(lines, "dto", lambda: verify.dto_solve(problem, mesh, verify._solved_state(
+        forward.solve_forward(problem, mesh, controls, cfg)), controls).grad.__dict__)
     _step(lines, "gradcheck", lambda: [(e.fd, e.adjoint, e.dto) for e in verify.gradient_check(
         problem, mesh, controls, n_dirs=2, cfg=cfg).entries])
     _step(lines, "partials", lambda: kernels.validate_partials(problem, probes=3).entries)
