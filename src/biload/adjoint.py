@@ -201,9 +201,12 @@ def solve_costate(
 ):
     """Fixed-point solution (forward.fixed_point) of the coupled costate
     system at a (converged) state snapshot.  Starts from zero costates.
-    cache, when given, is the partial_cache of this snapshot."""
+    cache, when given, is the partial_cache of this snapshot.  The sweeps
+    read the state-slot partials only: `apply_theta` never reads a control
+    slot, so those entries are left to `control_gradient`."""
     if cache is None:
         cache = partial_cache(problem, mesh, (state, slots, controls))
+    cache = {key: P for key, P in cache.items() if key[1] not in CONTROL_BLOCKS}
     produced = {slot for _, slot in cache}
     return fixed_point(
         lambda co: apply_theta(

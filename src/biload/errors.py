@@ -1,4 +1,5 @@
-"""Shared exception types, and the check of a whole-number count."""
+"""Shared exception types, and the checks of a whole-number count and of a
+named choice."""
 
 import numbers
 
@@ -29,3 +30,9 @@ def check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """Raise ConfigError unless value is one of choices."""
+    if value not in choices:
+        raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")

@@ -1,5 +1,19 @@
 """Projected gradient descent with Armijo backtracking over all control
-blocks, driven by the costate-based gradient.
+blocks, on one of two gradients (`OptimizeOptions.gradient`).
+
+* ``costate`` (the default): the paper's costate-based gradient,
+  `adjoint.costate_gradient`, which matches the gradient of the discrete
+  cost to first order in the grid spacing.  Every line search starts at
+  step0.
+* ``discrete``: the exact gradient of the discrete cost, the one the line
+  search evaluates: `verify.dto_solve` at the state the descent has already
+  solved, each nodal entry divided by its node's quadrature weight
+  (`discrete_gradient`).  Every line search after the first starts at the
+  Barzilai-Borwein step <s,s>/<s,y> of the last accepted step (s the
+  change in controls, projection included; y the change in gradient), or
+  at step0 when <s,y> <= 0: with the monotone Armijo search below, the
+  spectral projected gradient method of Birgin, Martinez & Raydan (2000).
+  Grids above `verify.DTO_SIZE_CAP` unknowns are refused before any solve.
 
 All six blocks descend simultaneously with one shared step.  A trial step
 is accepted when it achieves the sufficient decrease
@@ -8,10 +22,10 @@ norm; forward non-convergence or divergence at a trial point rejects the
 step like an insufficient decrease.  The method claims stationarity
 (small gradient), nothing stronger.
 
-The trial steps of a line search are known before any is solved: step0,
-then `step *= backtrack` down to STEP_FLOOR.  The ladder goes to
-`forward.solve_forward_many` in chunks of 1, 2, 4, ... members (up to one
-batched sweep), and the first member in ladder order that passes is
+The trial steps of a line search are known before any is solved: the
+first trial, then `step *= backtrack` down to STEP_FLOOR.  The ladder goes
+to `forward.solve_forward_many` in chunks of 1, 2, 4, ... members (up to
+one batched sweep), and the first member in ladder order that passes is
 accepted, so the result is bit for bit that of the sequential search.
 """
 
@@ -24,15 +38,18 @@ from operator import mul
 
 import numpy as np
 
-from .adjoint import costate_gradient, gradient_norm2
-from .errors import ConfigError, DivergenceError, KernelEvalError, check_count
+from .adjoint import ControlGradient, block_pairing, costate_gradient, gradient_norm2
+from .errors import ConfigError, DivergenceError, KernelEvalError, check_choice, check_count
 from .forward import SolverConfig, eval_cost, member_chunks, solve_forward, solve_forward_many
 from .kernels import Problem
 from .mesh import Mesh
-from .state import CONTROL_BLOCKS, ControlBundle, derive_slots
+from .state import CONTROL_BLOCKS, LAYOUT, ControlBundle, derive_slots
+from .verify import check_dto_size, dto_solve
 
 #: Trial step below which backtracking gives up (status line_search_failed).
 STEP_FLOOR = 1e-12
+#: The choices of OptimizeOptions.gradient, the default first.
+GRADIENTS = ("costate", "discrete")
 
 
 @dataclass(frozen=True)
@@ -42,6 +59,7 @@ class OptimizeOptions:
     backtrack: float = 0.5
     step0: float = 1.0
     gtol: float = 1e-8
+    gradient: str = GRADIENTS[0]
 
     def __post_init__(self):
         if not (0.0 < self.armijo_c < 1.0):
@@ -53,6 +71,7 @@ class OptimizeOptions:
         if not (math.isfinite(self.gtol) and self.gtol >= 0):
             raise ConfigError(f"gtol must be non-negative and finite, got {self.gtol}")
         check_count("max_outer", self.max_outer, 0)
+        check_choice("gradient", self.gradient, GRADIENTS)
 
 
 @dataclass
@@ -93,6 +112,28 @@ def _descend(controls: ControlBundle, grad, step: float) -> ControlBundle:
     return new
 
 
+def discrete_gradient(problem: Problem, mesh: Mesh, state, controls: ControlBundle) -> ControlGradient:
+    """The exact gradient of the discrete cost at state, the fixed point the
+    caller solved for controls, as densities: `verify.dto_solve`'s nodal
+    partials divided by the node weights of each block's quadrature."""
+    nodal = dto_solve(problem, mesh, state, controls).grad
+    return ControlGradient(*(nodal.block(b) / LAYOUT[b].weights(mesh) for b in CONTROL_BLOCKS))
+
+
+def _bb_step(mesh: Mesh, prev: ControlBundle, controls: ControlBundle,
+            prev_grad: ControlGradient, grad: ControlGradient, fallback: float) -> float:
+    """The Barzilai-Borwein step <s,s>/<s,y> from prev to controls in the
+    quadrature pairing, s the change in controls and y the change in
+    gradient; fallback when <s,y> <= 0."""
+    ss = sy = 0.0
+    for block in CONTROL_BLOCKS:
+        s = getattr(controls, block) - getattr(prev, block)
+        if s.size:
+            ss += block_pairing(mesh, block, s, s)
+            sy += block_pairing(mesh, block, s, grad.block(block) - prev_grad.block(block))
+    return ss / sy if sy > 0 else fallback
+
+
 def run_gd(
     problem: Problem,
     mesh: Mesh,
@@ -104,8 +145,10 @@ def run_gd(
 
     History rows carry (iteration, J, gradient norm, accepted step,
     forward iterations); J is nonincreasing across accepted iterations.
-    The costate solves use solver_cfg too.  Terminates on gtol, max_outer,
-    or when backtracking underflows STEP_FLOOR (status line_search_failed).
+    opts.gradient chooses the gradient and the first trial of each line
+    search (see the module docstring); the costate solves use solver_cfg
+    too.  Terminates on gtol, max_outer, or when backtracking underflows
+    STEP_FLOOR (status line_search_failed).
     Each line search solves its ladder of trial steps in doubling chunks
     along the member axis and accepts the first member that passes, bit for
     bit the sequential search; history.trials and history.members count,
@@ -114,6 +157,9 @@ def run_gd(
     opts = opts or OptimizeOptions()
     solver_cfg = solver_cfg or SolverConfig()
     bounds = problem.bounds
+    discrete = opts.gradient == "discrete"
+    if discrete:
+        check_dto_size(problem, mesh, "; use [optimize] gradient = costate")
 
     controls = project(controls0.copy(), bounds)
     state, rep = solve_forward(problem, mesh, controls, solver_cfg)
@@ -125,12 +171,20 @@ def run_gd(
     history = OptimizeHistory()
     best_controls, best_J = controls.copy(), J
 
-    def line_search():
-        """The first ladder member passing Armijo, as (step, controls, state,
-        slots, J, report), or None.  A member that leaves the guard is
-        rejected; one whose kernel is not finite raises its error when the
-        search reaches it."""
-        steps = accumulate(repeat(opts.backtrack), mul, initial=opts.step0)  # as `step *= backtrack`
+    def gradient():
+        """The chosen gradient at (state, controls) and its squared norm."""
+        if discrete:
+            g = discrete_gradient(problem, mesh, state, controls)
+        else:
+            _, g = costate_gradient(problem, mesh, state, slots, controls, solver_cfg)
+        return g, gradient_norm2(mesh, g)
+
+    def line_search(first):
+        """The first member of the ladder from first that passes Armijo, as
+        (step, controls, state, slots, J, report), or None.  A member that
+        leaves the guard is rejected; one whose kernel is not finite raises
+        its error when the search reaches it."""
+        steps = accumulate(repeat(opts.backtrack), mul, initial=first)  # as `step *= backtrack`
         ladder = takewhile(lambda step: step >= STEP_FLOOR, steps)
         size, trials, members, found = 1, 0, 0, None
         while found is None and (chunk := list(islice(ladder, size))):
@@ -152,27 +206,29 @@ def run_gd(
         history.members.append(members)
         return found
 
-    _, grad = costate_gradient(problem, mesh, state, slots, controls, solver_cfg)
-    gnorm2 = gradient_norm2(mesh, grad)
+    grad, gnorm2 = gradient()
     gnorm = float(np.sqrt(gnorm2))
     history.rows.append((0, J, gnorm, 0.0, rep.iterations))
 
+    first = opts.step0
     for outer in range(1, opts.max_outer + 1):
         if gnorm <= opts.gtol:
             history.status = "stationary"
             break
-        found = line_search()
+        found = line_search(first)
         if found is None:
             history.status = "line_search_failed"
             break
 
+        prev, prev_grad = controls, grad
         step, controls, state, slots, J, rep = found
         if J < best_J:
             best_controls, best_J = controls.copy(), J
-        _, grad = costate_gradient(problem, mesh, state, slots, controls, solver_cfg)
-        gnorm2 = gradient_norm2(mesh, grad)
+        grad, gnorm2 = gradient()
         gnorm = float(np.sqrt(gnorm2))
         history.rows.append((outer, J, gnorm, step, rep.iterations))
+        if discrete:
+            first = _bb_step(mesh, prev, controls, prev_grad, grad, opts.step0)
     else:
         history.status = "max_outer"
     return best_controls, history

@@ -94,6 +94,18 @@ class Layout:
             out = np.einsum(subs + "->...", *(weights[c] for c in weighted), *operands)
         return out.item() if out.ndim == 0 else out
 
+    def weights(self, mesh: Mesh) -> np.ndarray:
+        """The node weights `quad` applies, one per node, with a trailing
+        component axis of length one; built once per mesh."""
+        return mesh.plan(("weights", self.letters), self._weights, mesh)
+
+    def _weights(self, mesh: Mesh) -> np.ndarray:
+        axes = {"i": mesh.wt, "j": mesh.wx}
+        w = np.ones(())
+        for letter, size in zip(self.letters, self.nodes(mesh)):
+            w = np.multiply.outer(w, axes.get(letter, np.ones(size)))
+        return w[..., None]
+
 
 def axis_sizes(Nt: int, Nx: int) -> dict:
     """Node count per axis letter: consumer time i, interior x j and wall

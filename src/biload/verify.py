@@ -151,6 +151,16 @@ def _unknowns(problem: Problem, mesh: Mesh) -> int:
     return sum(map(math.prod, block_shapes(mesh.Nt, mesh.Nx, (problem.n,) * len(LAYOUTS))))
 
 
+def check_dto_size(problem: Problem, mesh: Mesh, context: str = "") -> None:
+    """Raise ConfigError, its message ending in context, when the grid has
+    more than DTO_SIZE_CAP unknowns."""
+    total = _unknowns(problem, mesh)
+    if total > DTO_SIZE_CAP:
+        raise ConfigError(
+            f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {total}{context}"
+        )
+
+
 def _linearized_columns(problem, mesh, base, at):
     """Image (a row per column) and cost differential of the sweep at every
     unit vector of the bundle base's flat space, batched per member chunk,
@@ -203,14 +213,9 @@ def dto_solve(
     each control bundle d in directions is the state's derivative along
     it, t = -A^-1 B d, from one more dense solve.
     """
-    total = _unknowns(problem, mesh)
-    if total > DTO_SIZE_CAP:
-        raise ConfigError(
-            f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {total}"
-        )
-
+    check_dto_size(problem, mesh)
     images, dJdPhi = _linearized_columns(problem, mesh, state, lambda s: (s, controls))
-    A = np.ascontiguousarray(images.T) - np.eye(total)
+    A = np.ascontiguousarray(images.T) - np.eye(len(images))
     images, dJdU = _linearized_columns(problem, mesh, controls, lambda c: (state, c))
     B = np.ascontiguousarray(images.T)
 

@@ -6,13 +6,15 @@ from biload.adjoint import (
     assemble_h_partials,
     block_pairing,
     control_gradient,
+    partial_cache,
     solve_costate,
 )
-from biload.forward import SolverConfig, solve_forward
+from biload.forward import SolverConfig, fixed_point, solve_forward
 from biload.kernels import CostTerm, Kernel, Problem, kernel_args
 from biload.mesh import build_mesh
-from biload.models import make_model, make_params
+from biload.models import MODEL_NAMES, make_model, make_params
 from biload.state import (
+    CONTROL_BLOCKS,
     WALL_PAIRS,
     derive_slots,
     zero_controls,
@@ -20,6 +22,7 @@ from biload.state import (
     zero_state,
 )
 from biload.verify import _TIGHT, dto_solve, smooth_direction
+from test_complex_step import _solved
 
 MESH = build_mesh(1.0, 8, 0.0, 1.0, 8)
 TIGHT = SolverConfig(tol=1e-12)
@@ -341,3 +344,27 @@ def test_costate_non_convergence_is_reported(monkeypatch):
     _, rep = solve_costate(prob, MESH, state, slots, ctrl, SolverConfig(max_iter=4))
     assert not rep.converged
     assert rep.iterations == 4
+
+
+@pytest.mark.parametrize("name", [*MODEL_NAMES, "full_table"])
+def test_costate_sweeps_without_control_partials_keep_every_bit(name):
+    # the reference sweeps read the whole partial cache; apply_theta reads no
+    # control slot, so dropping those entries keeps every bit
+    problem, mesh, state, controls, cfg = _solved(name)
+    slots = derive_slots(mesh, state)
+    cache = partial_cache(problem, mesh, (state, slots, controls))
+    produced = {slot for _, slot in cache}
+    old, old_rep = fixed_point(
+        lambda co: apply_theta(
+            mesh, assemble_h_partials(problem, mesh, state, slots, controls, co, cache), produced
+        ),
+        zero_costate(mesh, problem.n),
+        cfg,
+        label="costate ",
+    )
+    new, new_rep = solve_costate(problem, mesh, state, slots, controls, cfg, cache)
+    assert new_rep.converged and new_rep.iterations == old_rep.iterations
+    assert all(np.array_equal(a, b) for a, b in zip(new.blocks(), old.blocks()))
+    grads = [control_gradient(problem, mesh, state, slots, controls, co, cache) for co in (new, old)]
+    for block in CONTROL_BLOCKS:
+        assert np.array_equal(grads[0].block(block), grads[1].block(block))

@@ -201,6 +201,17 @@ def test_sample_configs_parse_and_run(tmp_path):
     )
 
 
+def test_shipped_configs_choose_their_gradient():
+    # the exact discrete gradient where the dense oracle is cheap; volterra's
+    # 1,421 unknowns would make it a dense solve per step
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    gradients = {
+        name: parse_config((configs / f"{name}.cfg").read_text(encoding="utf-8")).optimize.gradient
+        for name in ("volterra", "heat", "biload")
+    }
+    assert gradients == {"volterra": "costate", "heat": "discrete", "biload": "discrete"}
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, MINIMAL.replace("Nt = 8", "Nt = 3"))
     assert main(["solve", "--config", str(cfg)]) == 2

@@ -1,28 +1,45 @@
 """The Armijo ladder solved in doubling chunks against the sequential search.
 
 `sequential_gd` below is the oracle of `optimize.run_gd`: the loop that
-solves one trial step at a time, `step *= backtrack` from step0 down to
-STEP_FLOOR, each a cold `solve_forward`.  It only adds the count of trials
+solves one trial step at a time, `step *= backtrack` from the first trial
+down to STEP_FLOOR, each a cold `solve_forward`.  The first trial is step0
+on the costate gradient, and on the discrete gradient the Barzilai-Borwein
+step <s,s>/<s,y> after the first search, s the change in controls (so
+projected) and y the change in gradient.  It only adds the count of trials
 per search and a record of what became of each trial.  `run_gd` must agree with it bit for bit:
 history rows, status, best controls, and the error raised, because the
 benchmark's failure counts follow the floating-point bits.
 """
 
 import dataclasses
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biload import cli, forward, models
-from biload.adjoint import control_gradient, gradient_norm2, partial_cache, solve_costate
+from biload.adjoint import (
+    block_pairing,
+    control_gradient,
+    gradient_norm2,
+    partial_cache,
+    solve_costate,
+)
 from biload.errors import DivergenceError, KernelEvalError
 from biload.forward import SolverConfig, eval_cost, fixed_point, solve_forward
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_mesh
-from biload.optimize import STEP_FLOOR, OptimizeHistory, OptimizeOptions, _descend, project, run_gd
-from biload.state import derive_slots, zero_controls
+from biload.optimize import (
+    STEP_FLOOR,
+    OptimizeHistory,
+    OptimizeOptions,
+    _descend,
+    discrete_gradient,
+    project,
+    run_gd,
+)
+from biload.state import CONTROL_BLOCKS, derive_slots, zero_controls
+from test_optimize import _quadratic_problem
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MESH = build_mesh(1.0, 6, 0.0, 1.0, 6)
@@ -48,6 +65,8 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None):
     best_controls, best_J = controls.copy(), J
 
     def fresh_gradient():
+        if opts.gradient == "discrete":
+            return discrete_gradient(problem, mesh, state, controls)
         cache = partial_cache(problem, mesh, (state, slots, controls))
         costate, crep = solve_costate(
             problem, mesh, state, slots, controls, solver_cfg, cache
@@ -61,12 +80,13 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None):
     gnorm = float(np.sqrt(gnorm2))
     history.rows.append((0, J, gnorm, 0.0, rep.iterations))
 
+    first = opts.step0
     for outer in range(1, opts.max_outer + 1):
         if gnorm <= opts.gtol:
             history.status = "stationary"
             break
 
-        step = opts.step0
+        step = first
         accepted = False
         trials = 0
         while step >= STEP_FLOOR:
@@ -95,6 +115,7 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None):
             history.status = "line_search_failed"
             break
 
+        prev, prev_grad = controls, grad
         controls, state, slots, J, rep = trial, tstate, tslots, tJ, trep
         if J < best_J:
             best_controls, best_J = controls.copy(), J
@@ -102,6 +123,15 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None):
         gnorm2 = gradient_norm2(mesh, grad)
         gnorm = float(np.sqrt(gnorm2))
         history.rows.append((outer, J, gnorm, step, rep.iterations))
+        if opts.gradient == "discrete":
+            ss = sy = 0.0
+            for block in CONTROL_BLOCKS:
+                s = getattr(controls, block) - getattr(prev, block)
+                if s.size:
+                    y = grad.block(block) - prev_grad.block(block)
+                    ss += block_pairing(mesh, block, s, s)
+                    sy += block_pairing(mesh, block, s, y)
+            first = ss / sy if sy > 0 else opts.step0
     else:
         history.status = "max_outer"
     return best_controls, history, outcomes
@@ -123,26 +153,61 @@ def _both(problem, mesh, controls, opts, cfg):
     return run_gd(*args), sequential_gd(*args)
 
 
-def _config(name):
+def _config(name, gradient=None):
+    """A shipped config's run, its [optimize] gradient replaced when given."""
     spec = cli.parse_config((CONFIGS / f"{name}.cfg").read_text(encoding="utf-8"))
     mesh = build_mesh(**spec.mesh)
     problem = models.make_model(spec.model)
     controls = cli.build_controls(spec, mesh, problem)
-    return problem, mesh, controls, spec.optimize, cli._solver_cfg(spec, mesh)
+    opts = spec.optimize if gradient is None else dataclasses.replace(spec.optimize, gradient=gradient)
+    return problem, mesh, controls, opts, cli._solver_cfg(spec, mesh)
 
 
 @pytest.fixture(scope="module")
 def heat():
-    return _config("heat")
+    return _config("heat", "costate")
 
 
 @pytest.mark.parametrize("name, trials", [("heat", 235), ("biload", 277)])
 def test_shipped_configs_match_the_sequential_search(name, trials):
-    new, old = _both(*_config(name))
+    # run_gd's default costate path, where a search may end on the step floor
+    new, old = _both(*_config(name, "costate"))
     _assert_same(new, old)
     assert new[1].status == "line_search_failed"
     assert sum(new[1].trials) == trials
     assert sum(new[1].members) > trials  # multi-member chunks ran
+
+
+@pytest.mark.parametrize(
+    "name, status, steps, trials, members",
+    [("heat", "stationary", 8, 8, 8), ("biload", "max_outer", 25, 33, 35)],
+)
+def test_shipped_configs_on_the_discrete_gradient_match_the_sequential_search(
+    name, status, steps, trials, members
+):
+    new, old = _both(*_config(name))
+    _assert_same(new, old)
+    history = new[1]
+    assert history.status == status and len(history.rows) == steps + 1
+    assert sum(history.trials) == trials and sum(history.members) == members
+    costs = history.costs()
+    assert all(b < a for a, b in zip(costs, costs[1:]))  # J falls at every row
+
+
+def test_bounded_descent_takes_the_projected_change_as_s():
+    # J = |u|^2 over u >= 0.05 on the left half: the first step clips the
+    # left half at its bound, so the projected change differs from -step g
+    mesh = build_mesh(1.0, 8, 0.0, 1.0, 8)
+    lo = np.where(mesh.x < 0.5, 0.05, -1.0)[None, :, None]
+    problem = _quadratic_problem(bounds={"u": (lo, 1.0)})
+    controls = zero_controls(mesh, 1, 0)
+    controls.u[:] = np.random.default_rng(3).uniform(0.05, 1.0, controls.u.shape)
+    opts = OptimizeOptions(max_outer=5, gradient="discrete")
+    new, old = _both(problem, mesh, controls, opts, SolverConfig(tol=1e-12))
+    _assert_same(new, old)
+    history = new[1]
+    assert [row[3] for row in history.rows[1:3]] == [1.0, 0.5]  # step0, then BB
+    assert history.status == "line_search_failed"  # the left half sits on its bound
 
 
 def test_cli_prints_the_ladder_after_the_status(tmp_path, capsys):
@@ -150,9 +215,8 @@ def test_cli_prints_the_ladder_after_the_status(tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2].startswith("optimize: status=line_search_failed J_final=")
-    match = re.fullmatch(r"optimize: trials=(\d+) members=(\d+)", lines[-1])
-    assert match and int(match.group(1)) == 235 and int(match.group(2)) > 235
+    assert lines[-2] == "optimize: status=stationary J_final=0.008092047585838962"
+    assert lines[-1] == "optimize: trials=8 members=8"
 
 
 @pytest.mark.parametrize(

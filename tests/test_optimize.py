@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from biload.adjoint import block_pairing
 from biload.errors import ConfigError, DivergenceError
 from biload.forward import SolverConfig, solve_forward, eval_cost
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_mesh
-from biload.models import make_model, make_params, picard_relax_hint
-from biload.optimize import OptimizeOptions, project, run_gd
-from biload.state import derive_slots, zero_controls
+from biload.models import MODEL_NAMES, make_model, make_params, picard_relax_hint
+from biload.optimize import OptimizeOptions, discrete_gradient, project, run_gd
+from biload.state import CONTROL_BLOCKS, derive_slots, zero_controls
+from biload.verify import dto_solve, smooth_direction
+from test_complex_step import _solved
 
 MESH = build_mesh(1.0, 8, 0.0, 1.0, 8)
 TIGHT = SolverConfig(tol=1e-12)
@@ -176,3 +179,20 @@ def test_run_gd_raises_when_a_start_solve_does_not_converge():
         run_gd(prob, MESH, ctrl, opts, cfg(100))
     with pytest.raises(DivergenceError, match="^costate solve did not converge$"):
         run_gd(prob, MESH, ctrl, opts, cfg(150))
+
+
+@pytest.mark.parametrize("name", [*MODEL_NAMES, "full_table"])
+def test_discrete_density_pairs_as_the_nodal_gradient(name):
+    # the quadrature pairing of the density gradient = discrete descends on
+    # is the nodal directional derivative of the dense oracle
+    problem, mesh, state, controls, _ = _solved(name, MESH)
+    density = discrete_gradient(problem, mesh, state, controls)
+    nodal = dto_solve(problem, mesh, state, controls).grad
+    rng = np.random.default_rng(4)
+    for block in CONTROL_BLOCKS:
+        m = problem.slot_dim(block)
+        if m:
+            d = smooth_direction(mesh, block, m, rng)
+            paired = block_pairing(mesh, block, density.block(block), d)
+            direct = float(np.sum(nodal.block(block) * d))
+            assert abs(paired - direct) <= 1e-12 * abs(direct), (block, paired, direct)
