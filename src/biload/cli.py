@@ -86,7 +86,6 @@ _OPT_KEYS = {
     "backtrack": float,
     "step0": float,
     "gtol": float,
-    "gradient": str,
 }
 #: Profile name -> (axis letter it varies along, shape on the unit interval);
 #: zero and one are constants on every block.

@@ -1,5 +1,4 @@
-"""Shared exception types, and the checks of a whole-number count and of a
-named choice."""
+"""Shared exception types, and the check of a whole-number count."""
 
 import numbers
 
@@ -30,9 +29,3 @@ def check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
-
-
-def check_choice(name: str, value, choices: tuple) -> None:
-    """Raise ConfigError unless value is one of choices."""
-    if value not in choices:
-        raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")

@@ -1,19 +1,18 @@
 """Projected gradient descent with Armijo backtracking over all control
-blocks, on one of two gradients (`OptimizeOptions.gradient`).
+blocks, on one of two gradients, chosen by the size of the grid:
 
-* ``costate`` (the default): the paper's costate-based gradient,
-  `adjoint.costate_gradient`, which matches the gradient of the discrete
-  cost to first order in the grid spacing.  Every line search starts at
-  step0.
-* ``discrete``: the exact gradient of the discrete cost, the one the line
-  search evaluates: `verify.dto_solve` at the state the descent has already
-  solved, each nodal entry divided by its node's quadrature weight
-  (`discrete_gradient`).  Every line search after the first starts at the
-  Barzilai-Borwein step <s,s>/<s,y> of the last accepted step (s the
-  change in controls, projection included; y the change in gradient), or
-  at step0 when <s,y> <= 0: with the monotone Armijo search below, the
-  spectral projected gradient method of Birgin, Martinez & Raydan (2000).
-  Grids above `verify.DTO_SIZE_CAP` unknowns are refused before any solve.
+* up to `EXACT_GRADIENT_CAP` unknowns, the exact gradient of the discrete
+  cost, the one the line search evaluates: `verify.dto_solve` at the state
+  the descent has already solved, each nodal entry divided by its node's
+  quadrature weight (`discrete_gradient`).  Every line search after the
+  first starts at the Barzilai-Borwein step <s,s>/<s,y> of the last
+  accepted step (s the change in controls, projection included; y the
+  change in gradient), or at step0 when <s,y> <= 0: with the monotone
+  Armijo search below, the spectral projected gradient method of Birgin,
+  Martinez & Raydan (2000).
+* above it, the paper's costate-based gradient, `adjoint.costate_gradient`,
+  which matches the gradient of the discrete cost to first order in the
+  grid spacing.  Every line search starts at step0.
 
 All six blocks descend simultaneously with one shared step.  A trial step
 is accepted when it achieves the sufficient decrease
@@ -39,17 +38,21 @@ from operator import mul
 import numpy as np
 
 from .adjoint import ControlGradient, block_pairing, costate_gradient, gradient_norm2
-from .errors import ConfigError, DivergenceError, KernelEvalError, check_choice, check_count
+from .errors import ConfigError, DivergenceError, KernelEvalError, check_count
 from .forward import SolverConfig, eval_cost, member_chunks, solve_forward, solve_forward_many
 from .kernels import Problem
 from .mesh import Mesh
 from .state import CONTROL_BLOCKS, LAYOUT, ControlBundle, derive_slots
-from .verify import check_dto_size, dto_solve
+from .verify import dto_solve, state_unknowns
 
 #: Trial step below which backtracking gives up (status line_search_failed).
 STEP_FLOOR = 1e-12
-#: The choices of OptimizeOptions.gradient, the default first.
-GRADIENTS = ("costate", "discrete")
+#: Grids up to this many unknowns descend on the exact discrete gradient,
+#: larger ones on the costate gradient.  One dense gradient costs 5 ms at
+#: 121 unknowns (heat.cfg), 79 ms at 361 (heat 16x16), 0.18 s at 371
+#: (volterra 50x4) and 3.1 s at 1,421 (volterra.cfg), against 2-9 ms for a
+#: costate gradient on the same grids (2-CPU VM, BLAS on one thread).
+EXACT_GRADIENT_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,6 @@ class OptimizeOptions:
     backtrack: float = 0.5
     step0: float = 1.0
     gtol: float = 1e-8
-    gradient: str = GRADIENTS[0]
 
     def __post_init__(self):
         if not (0.0 < self.armijo_c < 1.0):
@@ -71,7 +73,6 @@ class OptimizeOptions:
         if not (math.isfinite(self.gtol) and self.gtol >= 0):
             raise ConfigError(f"gtol must be non-negative and finite, got {self.gtol}")
         check_count("max_outer", self.max_outer, 0)
-        check_choice("gradient", self.gradient, GRADIENTS)
 
 
 @dataclass
@@ -140,14 +141,16 @@ def run_gd(
     controls0: ControlBundle,
     opts: OptimizeOptions = None,
     solver_cfg: SolverConfig = None,
+    use_dto: bool = None,
 ):
     """Gradient descent from controls0; returns (best controls, history).
 
     History rows carry (iteration, J, gradient norm, accepted step,
     forward iterations); J is nonincreasing across accepted iterations.
-    opts.gradient chooses the gradient and the first trial of each line
-    search (see the module docstring); the costate solves use solver_cfg
-    too.  Terminates on gtol, max_outer, or when backtracking underflows
+    use_dto chooses the exact discrete gradient with Barzilai-Borwein first
+    trials over the costate gradient (see the module docstring); by default
+    it is whether the grid has at most EXACT_GRADIENT_CAP unknowns.  The
+    costate solves use solver_cfg too.  Terminates on gtol, max_outer, or when backtracking underflows
     STEP_FLOOR (status line_search_failed).
     Each line search solves its ladder of trial steps in doubling chunks
     along the member axis and accepts the first member that passes, bit for
@@ -157,9 +160,8 @@ def run_gd(
     opts = opts or OptimizeOptions()
     solver_cfg = solver_cfg or SolverConfig()
     bounds = problem.bounds
-    discrete = opts.gradient == "discrete"
-    if discrete:
-        check_dto_size(problem, mesh, "; use [optimize] gradient = costate")
+    if use_dto is None:
+        use_dto = state_unknowns(problem, mesh) <= EXACT_GRADIENT_CAP
 
     controls = project(controls0.copy(), bounds)
     state, rep = solve_forward(problem, mesh, controls, solver_cfg)
@@ -173,7 +175,7 @@ def run_gd(
 
     def gradient():
         """The chosen gradient at (state, controls) and its squared norm."""
-        if discrete:
+        if use_dto:
             g = discrete_gradient(problem, mesh, state, controls)
         else:
             _, g = costate_gradient(problem, mesh, state, slots, controls, solver_cfg)
@@ -227,7 +229,7 @@ def run_gd(
         grad, gnorm2 = gradient()
         gnorm = float(np.sqrt(gnorm2))
         history.rows.append((outer, J, gnorm, step, rep.iterations))
-        if discrete:
+        if use_dto:
             first = _bb_step(mesh, prev, controls, prev_grad, grad, opts.step0)
     else:
         history.status = "max_outer"

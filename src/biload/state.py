@@ -84,7 +84,7 @@ class Layout:
         are a plain sum.  Operands with leading member axes give one value
         per member, as an array.  Complex operands give complex values.
         """
-        weights = {"i": mesh.wt, "j": mesh.wx}
+        weights = axis_weights(mesh)
         weighted = [c for c in self.letters if c in weights]
         if not weighted:
             prod = operands[0] if len(operands) == 1 else operands[0] * operands[1]
@@ -100,11 +100,17 @@ class Layout:
         return mesh.plan(("weights", self.letters), self._weights, mesh)
 
     def _weights(self, mesh: Mesh) -> np.ndarray:
-        axes = {"i": mesh.wt, "j": mesh.wx}
+        axes = axis_weights(mesh)
         w = np.ones(())
         for letter, size in zip(self.letters, self.nodes(mesh)):
             w = np.multiply.outer(w, axes.get(letter, np.ones(size)))
         return w[..., None]
+
+
+def axis_weights(mesh: Mesh) -> dict:
+    """Trapezoid weights per weighted axis letter: time "i" and interior x
+    "j"; the walls "b" carry the counting measure."""
+    return {"i": mesh.wt, "j": mesh.wx}
 
 
 def axis_sizes(Nt: int, Nx: int) -> dict:

@@ -146,19 +146,9 @@ def fd_directional(
 CS_STEP = 2.0**-100
 
 
-def _unknowns(problem: Problem, mesh: Mesh) -> int:
+def state_unknowns(problem: Problem, mesh: Mesh) -> int:
     """Entries of the six state blocks: the dense oracle's matrix size."""
     return sum(map(math.prod, block_shapes(mesh.Nt, mesh.Nx, (problem.n,) * len(LAYOUTS))))
-
-
-def check_dto_size(problem: Problem, mesh: Mesh, context: str = "") -> None:
-    """Raise ConfigError, its message ending in context, when the grid has
-    more than DTO_SIZE_CAP unknowns."""
-    total = _unknowns(problem, mesh)
-    if total > DTO_SIZE_CAP:
-        raise ConfigError(
-            f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {total}{context}"
-        )
 
 
 def _linearized_columns(problem, mesh, base, at):
@@ -211,18 +201,24 @@ def dto_solve(
 
     With the state Jacobian A and the control Jacobian B, the tangent of
     each control bundle d in directions is the state's derivative along
-    it, t = -A^-1 B d, from one more dense solve.
+    it, t = -A^-1 B d, from one more dense solve (none when directions
+    is empty).
     """
-    check_dto_size(problem, mesh)
+    total = state_unknowns(problem, mesh)
+    if total > DTO_SIZE_CAP:
+        raise ConfigError(
+            f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {total}"
+        )
+
     images, dJdPhi = _linearized_columns(problem, mesh, state, lambda s: (s, controls))
-    A = np.ascontiguousarray(images.T) - np.eye(len(images))
+    A = np.ascontiguousarray(images.T) - np.eye(total)
     images, dJdU = _linearized_columns(problem, mesh, controls, lambda c: (state, c))
     B = np.ascontiguousarray(images.T)
 
     D = np.array([pack(d) for d in directions]).reshape(len(directions), B.shape[1])
     try:
         lam = np.linalg.solve(A.T, -dJdPhi)
-        tangents = np.ascontiguousarray(np.linalg.solve(A, -(B @ D.T)).T)
+        tangents = np.ascontiguousarray(np.linalg.solve(A, -(B @ D.T)).T) if len(D) else ()
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "discrete fixed point has a singular linearization"
@@ -413,7 +409,7 @@ def gradient_check(
     cfg = cfg or _TIGHT
     costate_cfg = costate_cfg or cfg
     if use_dto is None:
-        use_dto = _unknowns(problem, mesh) <= DTO_SIZE_CAP
+        use_dto = state_unknowns(problem, mesh) <= DTO_SIZE_CAP
     if blocks is None:
         blocks = [b for b in CONTROL_BLOCKS if problem.slot_dim(b) > 0]
     rng = np.random.default_rng(seed)

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biload.cli import build_controls, main, parse_config
+from biload import optimize
+from biload.cli import _solver_cfg, build_controls, main, parse_config
 from biload.errors import ConfigError
 from biload.mesh import build_mesh
 from biload.models import make_model, make_params
@@ -201,15 +202,33 @@ def test_sample_configs_parse_and_run(tmp_path):
     )
 
 
-def test_shipped_configs_choose_their_gradient():
-    # the exact discrete gradient where the dense oracle is cheap; volterra's
-    # 1,421 unknowns would make it a dense solve per step
+class _Chosen(Exception):
+    pass
+
+
+def _refuse_as(name):
+    def refuse(*args):
+        raise _Chosen(name)
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "name, gradient",
+    [("volterra", "costate_gradient"), ("heat", "discrete_gradient"), ("biload", "discrete_gradient")],
+)
+def test_shipped_configs_descend_on_the_gradient_their_size_picks(name, gradient, monkeypatch):
+    # heat and biload have 121 unknowns, within EXACT_GRADIENT_CAP, and
+    # volterra 1,421, beyond it
     configs = Path(__file__).resolve().parents[1] / "configs"
-    gradients = {
-        name: parse_config((configs / f"{name}.cfg").read_text(encoding="utf-8")).optimize.gradient
-        for name in ("volterra", "heat", "biload")
-    }
-    assert gradients == {"volterra": "costate", "heat": "discrete", "biload": "discrete"}
+    spec = parse_config((configs / f"{name}.cfg").read_text(encoding="utf-8"))
+    mesh = build_mesh(**spec.mesh)
+    problem = make_model(spec.model)
+    for fn in ("costate_gradient", "discrete_gradient"):
+        monkeypatch.setattr(optimize, fn, _refuse_as(fn))
+    with pytest.raises(_Chosen) as chosen:
+        optimize.run_gd(problem, mesh, build_controls(spec, mesh, problem),
+                        spec.optimize, _solver_cfg(spec, mesh))
+    assert str(chosen.value) == gradient
 
 
 def test_config_error_exit_code(tmp_path, capsys):

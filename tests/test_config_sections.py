@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from biload import cli, forward
+from biload import cli
 from biload.errors import ConfigError
 
 HEAT = (Path(__file__).resolve().parents[1] / "configs" / "heat.cfg").read_text(encoding="utf-8")
@@ -42,16 +42,14 @@ def _without(key: str) -> str:
         (_with("solver", "tol = x"), "line 19: bad value for tol: 'x'"),
         (_with("solver", "max_iter = 1.5"), "line 19: bad value for max_iter: '1.5'"),
         (_with("solver", "bogus = 1"), "line 19: unknown key 'bogus' in [solver]"),
-        (_with("optimize", "step0 = x"), "line 23: bad value for step0: 'x'"),
-        (_with("optimize", "bogus = 1"), "line 23: unknown key 'bogus' in [optimize]"),
+        (_with("optimize", "step0 = x"), "line 26: bad value for step0: 'x'"),
+        (_with("optimize", "bogus = 1"), "line 26: unknown key 'bogus' in [optimize]"),
         (_with("optimize", "backtrack = 2"), "[optimize]: backtrack must lie in (0, 1)"),
-        (_with("optimize", "gradient = newton"),
-         "[optimize]: gradient must be 'costate' or 'discrete', got 'newton'"),
-        (_with("controls", "bogus = 1"), "line 29: unknown key 'bogus' in [controls]"),
-        (_with("controls", "w = -inf"), "line 29: control w must be finite, got '-inf'"),
+        (_with("controls", "bogus = 1"), "line 26: unknown key 'bogus' in [controls]"),
+        (_with("controls", "w = -inf"), "line 26: control w must be finite, got '-inf'"),
         (_with("controls", "u = ramp"),
-         "line 29: control init must be a number or one of zero, one, sin_x, sin_t, bump_x"),
-        (_with("output", "bogus = x"), "line 26: unknown key 'bogus' in [output]"),
+         "line 26: control init must be a number or one of zero, one, sin_x, sin_t, bump_x"),
+        (_with("output", "bogus = x"), "line 23: unknown key 'bogus' in [output]"),
     ],
 )
 def test_single_fault_messages(text, message):
@@ -68,25 +66,7 @@ def test_of_two_missing_mesh_keys_the_first_in_table_order_is_named():
 
 
 def test_typed_sections_keep_their_values():
-    text = _with("solver", "relax = 0.5").replace("[optimize]", "[optimize]\nmax_outer = 3")
-    spec = cli.parse_config(text)
+    spec = cli.parse_config(_with("solver", "relax = 0.5") + "\n[optimize]\nmax_outer = 3\n")
     assert spec.solver == {"tol": 1e-10, "relax": 0.5, "max_iter": 500, "divergence_guard": 1e8}
     assert spec.optimize.max_outer == 3 and spec.outdir == "out/heat"
-    assert spec.optimize.gradient == "discrete"
     assert spec.mesh == {"T_final": 0.02, "Nt": 8, "x_a": 0.0, "x_b": 1.0, "Nx": 8}
-
-
-def test_discrete_gradient_above_the_size_cap_is_refused_before_any_solve(tmp_path, monkeypatch):
-    # a message of `cli.run`, not `parse_config`: the cap counts the unknowns
-    # of the model's state on the mesh
-    spec = cli.parse_config(_with("mesh", "Nx = 200"))
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve started")
-
-    monkeypatch.setattr(forward, "fixed_point", no_solve)
-    with pytest.raises(ConfigError) as info:
-        cli.run(spec, "optimize", str(tmp_path))
-    assert str(info.value) == (
-        "dense oracle limited to 1500 unknowns, grid has 2233; use [optimize] gradient = costate"
-    )

@@ -30,6 +30,7 @@ from biload.forward import SolverConfig, eval_cost, fixed_point, solve_forward
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_mesh
 from biload.optimize import (
+    EXACT_GRADIENT_CAP,
     STEP_FLOOR,
     OptimizeHistory,
     OptimizeOptions,
@@ -39,18 +40,21 @@ from biload.optimize import (
     run_gd,
 )
 from biload.state import CONTROL_BLOCKS, derive_slots, zero_controls
+from biload.verify import state_unknowns
 from test_optimize import _quadratic_problem
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MESH = build_mesh(1.0, 6, 0.0, 1.0, 6)
 
 
-def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None):
+def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None, use_dto=None):
     """run_gd as it was with one forward solve per trial step; returns (best
     controls, history, outcomes), outcomes listing per trial solved one of
     "diverged", "max_iter", "rejected" or "accepted"."""
     opts = opts or OptimizeOptions()
     solver_cfg = solver_cfg or SolverConfig()
+    if use_dto is None:
+        use_dto = state_unknowns(problem, mesh) <= EXACT_GRADIENT_CAP
     bounds = problem.bounds
     outcomes = []
 
@@ -65,7 +69,7 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None):
     best_controls, best_J = controls.copy(), J
 
     def fresh_gradient():
-        if opts.gradient == "discrete":
+        if use_dto:
             return discrete_gradient(problem, mesh, state, controls)
         cache = partial_cache(problem, mesh, (state, slots, controls))
         costate, crep = solve_costate(
@@ -123,7 +127,7 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None):
         gnorm2 = gradient_norm2(mesh, grad)
         gnorm = float(np.sqrt(gnorm2))
         history.rows.append((outer, J, gnorm, step, rep.iterations))
-        if opts.gradient == "discrete":
+        if use_dto:
             ss = sy = 0.0
             for block in CONTROL_BLOCKS:
                 s = getattr(controls, block) - getattr(prev, block)
@@ -148,30 +152,28 @@ def _assert_same(new, old):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _both(problem, mesh, controls, opts, cfg):
-    args = problem, mesh, controls, opts, cfg
+def _both(problem, mesh, controls, opts, cfg, use_dto=None):
+    args = problem, mesh, controls, opts, cfg, use_dto
     return run_gd(*args), sequential_gd(*args)
 
 
-def _config(name, gradient=None):
-    """A shipped config's run, its [optimize] gradient replaced when given."""
+def _config(name):
     spec = cli.parse_config((CONFIGS / f"{name}.cfg").read_text(encoding="utf-8"))
     mesh = build_mesh(**spec.mesh)
     problem = models.make_model(spec.model)
     controls = cli.build_controls(spec, mesh, problem)
-    opts = spec.optimize if gradient is None else dataclasses.replace(spec.optimize, gradient=gradient)
-    return problem, mesh, controls, opts, cli._solver_cfg(spec, mesh)
+    return problem, mesh, controls, spec.optimize, cli._solver_cfg(spec, mesh)
 
 
 @pytest.fixture(scope="module")
 def heat():
-    return _config("heat", "costate")
+    return _config("heat")
 
 
 @pytest.mark.parametrize("name, trials", [("heat", 235), ("biload", 277)])
 def test_shipped_configs_match_the_sequential_search(name, trials):
-    # run_gd's default costate path, where a search may end on the step floor
-    new, old = _both(*_config(name, "costate"))
+    # the costate path, where a search may end on the step floor
+    new, old = _both(*_config(name), use_dto=False)
     _assert_same(new, old)
     assert new[1].status == "line_search_failed"
     assert sum(new[1].trials) == trials
@@ -182,7 +184,7 @@ def test_shipped_configs_match_the_sequential_search(name, trials):
     "name, status, steps, trials, members",
     [("heat", "stationary", 8, 8, 8), ("biload", "max_outer", 25, 33, 35)],
 )
-def test_shipped_configs_on_the_discrete_gradient_match_the_sequential_search(
+def test_shipped_configs_by_default_match_the_sequential_search(
     name, status, steps, trials, members
 ):
     new, old = _both(*_config(name))
@@ -196,13 +198,14 @@ def test_shipped_configs_on_the_discrete_gradient_match_the_sequential_search(
 
 def test_bounded_descent_takes_the_projected_change_as_s():
     # J = |u|^2 over u >= 0.05 on the left half: the first step clips the
-    # left half at its bound, so the projected change differs from -step g
+    # left half at its bound, so the projected change differs from -step g;
+    # the exact discrete gradient by default on this grid
     mesh = build_mesh(1.0, 8, 0.0, 1.0, 8)
     lo = np.where(mesh.x < 0.5, 0.05, -1.0)[None, :, None]
     problem = _quadratic_problem(bounds={"u": (lo, 1.0)})
     controls = zero_controls(mesh, 1, 0)
     controls.u[:] = np.random.default_rng(3).uniform(0.05, 1.0, controls.u.shape)
-    opts = OptimizeOptions(max_outer=5, gradient="discrete")
+    opts = OptimizeOptions(max_outer=5)
     new, old = _both(problem, mesh, controls, opts, SolverConfig(tol=1e-12))
     _assert_same(new, old)
     history = new[1]
@@ -228,9 +231,10 @@ def test_cli_prints_the_ladder_after_the_status(tmp_path, capsys):
     ],
 )
 def test_biload_demo_at_6x6(opts, status):
+    # the costate path, where the third set of options ends on the step floor
     problem = models.make_model(models.make_params("biload_demo"))
     controls = zero_controls(MESH, problem.m_u, problem.m_w)
-    new, old = _both(problem, MESH, controls, opts, SolverConfig(tol=1e-10))
+    new, old = _both(problem, MESH, controls, opts, SolverConfig(tol=1e-10), use_dto=False)
     _assert_same(new, old)
     assert new[1].status == status
 
