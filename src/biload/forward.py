@@ -296,10 +296,11 @@ def solve_forward(
 BATCH_BYTES = 1 << 18
 
 
-def member_chunks(problem: Problem, mesh: Mesh, count: int, itemsize: int = 8) -> list:
+def member_chunks(problem: Problem, mesh: Mesh, count: int, itemsize: int = 8, terms=None) -> list:
     """Ranges splitting count members into chunks within BATCH_BYTES, for
-    term arrays of itemsize bytes per value (16 for complex members)."""
-    sizes = [_built_size(problem, mesh, k) for k in problem.kernels]
+    the arrays of the terms named in terms (default: every kernel) at
+    itemsize bytes per value (16 for complex members)."""
+    sizes = [_built_size(problem, mesh, k) for k in (problem.kernels if terms is None else terms)]
     size = max(1, BATCH_BYTES // (itemsize * problem.n * max(sizes, default=1)))
     return [range(a, min(a + size, count)) for a in range(0, count, size)]
 

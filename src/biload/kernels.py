@@ -53,7 +53,10 @@ from .state import (
     CONTROL_BLOCKS,
     LAYOUT,
     StateBundle,
+    derive_slots,
     node_shape,
+    zero_controls,
+    zero_state,
 )
 
 # ---------------------------------------------------------------------------
@@ -474,13 +477,20 @@ def forward_contract(mesh: Mesh, kid: str, F: np.ndarray) -> np.ndarray:
     einsum over the broadcast, and with it its floating-point bits.  The
     rule is that narrow on purpose: how many line searches and grad-check
     entries fail follows the bits, so moving them where nothing is gained
-    can raise a failure count with no fault in the code.
+    can raise a failure count with no fault in the code.  A value every
+    member shares (stride 0 on each member axis) is contracted once, at
+    member 0, and broadcast.
     """
     shape = TERMS[kid]
     ops, subs, spec, out = mesh.plan(("forward", kid), _contraction, shape, mesh, False)
-    if _stationary(shape, F, F.ndim - len(shape.full) - 1):
-        return _raw_contract(subs, ops, F, shape.full + "n", out)
-    return np.einsum(spec, *ops, F)
+    lead = F.ndim - len(shape.full) - 1
+    shared = lead and not any(F.strides[:lead])
+    arr = F[(0,) * lead] if shared else F
+    if _stationary(shape, arr, arr.ndim - len(shape.full) - 1):
+        value = _raw_contract(subs, ops, arr, shape.full + "n", out)
+    else:
+        value = np.einsum(spec, *ops, arr)
+    return np.broadcast_to(value, F.shape[:lead] + value.shape) if shared else value
 
 
 def transpose_contract(
@@ -576,6 +586,16 @@ def _point_args(rng, shape: KernelShape, problem: Problem):
             d = problem.slot_dim(slot)
             values[slot] = rng.standard_normal((1,) * (rank - 1) + (d,))
     return KernelArgs(values)
+
+
+def slots_read(problem: Problem, name: str, mesh: Mesh) -> list:
+    """The slots the body of term name asks for at the zero state on mesh,
+    in table order, whatever it does with their values."""
+    state = zero_state(mesh, problem.n)
+    controls = zero_controls(mesh, problem.m_u, problem.m_w)
+    args = kernel_args(name, mesh, (state, derive_slots(mesh, state), controls))
+    problem.terms[name].fn(args)
+    return [slot for slot in SLOT_FAMILY_OF if slot in args._values]
 
 
 def _dyadic_step(scale: float) -> float:

@@ -4,15 +4,16 @@ Two oracles cross-validate the adjoint machinery.  The finite-difference
 oracle differentiates the whole pipeline (forward solve plus cost) with
 central differences.  The dense discrete oracle linearizes the actual
 discrete sweep map and cost around the state it is given by complex step,
-running `sweep_map` and `eval_cost` themselves at complex members, so no
-hand-written partial enters it (the kernel bodies must be complex-analytic
-in the slot values).  It solves the transposed linear system for the
-multipliers; at a fixed point the caller solved, the result is the exact
-gradient of the discrete cost, up to linear-solve roundoff and the solve's
-own residual.  The two must agree tightly; the costate-based gradient
-(`adjoint.costate_gradient`), built from the hand partials, converges to
-them under mesh refinement.  Both oracles of `gradient_check` read one
-forward solve.
+running `sweep_map` at complex members that each perturb one color of
+unknowns, whose image entries do not meet, and `eval_cost` at one member
+per unknown, so no hand-written partial enters it (the kernel bodies must
+be complex-analytic in the slot values).  It solves the transposed linear
+system for the multipliers; at a fixed point the caller solved, the result
+is the exact gradient of the discrete cost, up to linear-solve roundoff and
+the solve's own residual.  The two must agree tightly; the costate-based
+gradient (`adjoint.costate_gradient`), built from the hand partials,
+converges to them under mesh refinement.  Both oracles of `gradient_check`
+read one forward solve.
 
 Also here: the two integration-by-parts residuals for running-derivative
 cost terms, the closed-curve pairing that certifies the discrete
@@ -31,13 +32,14 @@ from .adjoint import ControlGradient, block_pairing, costate_gradient
 from .errors import ConfigError, DivergenceError, SingularSystemError, check_count
 from .forward import (
     SolverConfig,
+    assemble_sweep,
     eval_cost,
     member_chunks,
     solve_forward,
     solve_forward_many,
     sweep_map,
 )
-from .kernels import Problem
+from .kernels import TERMS, Problem, _contraction, slots_read
 from .mesh import CurveMesh, Mesh, apply_axis, build_mesh, curve_diff
 from .state import (
     CONTROL_BLOCKS,
@@ -151,24 +153,78 @@ def state_unknowns(problem: Problem, mesh: Mesh) -> int:
     return sum(map(math.prod, block_shapes(mesh.Nt, mesh.Nx, (problem.n,) * len(LAYOUTS))))
 
 
-def _linearized_columns(problem, mesh, base, at):
-    """Image (a row per column) and cost differential of the sweep at every
-    unit vector of the bundle base's flat space, batched per member chunk,
-    by complex step: sweep_map and eval_cost run at the members
-    pack(base) + i*CS_STEP*unit, and at(members) gives the (state,
-    controls) to run them at."""
-    real = pack(base)
-    images, costs = [], []
-    for rows in member_chunks(problem, mesh, real.size, itemsize=16):
-        flat = np.zeros((len(rows), real.size), complex)
-        flat.real = real
-        flat.imag[range(len(rows)), rows] = CS_STEP
-        state, controls = at(bundle_of(type(base), flat, base.shapes()))
-        slots = derive_slots(mesh, state)
-        images.append(sweep_map(problem, mesh, state, controls, slots).flat.imag / CS_STEP)
-        cost = eval_cost(problem, mesh, state, slots, controls)
-        costs.append(np.broadcast_to(np.imag(cost) / CS_STEP, len(rows)))
-    return np.concatenate(images), np.concatenate(costs)
+def _column_colors(problem, mesh) -> list:
+    """(pattern, colors) of the state's unknowns, then of the controls': a
+    bool row per unknown in pack order, the sweep image entries it can
+    move, and each row's greedy color in natural order.  Planned once per
+    mesh, dimensions and kernel bodies, from the term table: the derived
+    slots' stencils, the slots each kernel body reads (kernels.slots_read),
+    the nonzero weights of its forward contraction and assemble_sweep's
+    wall overwrite.  No kernel value enters."""
+    key = ("dto colors", problem.n, problem.m_u, problem.m_w, *problem.kernels,
+           *(k.fn for k in problem.kernels.values()))
+    return mesh.plan(key, lambda: [(p, _greedy_colors(p)) for p in _sweep_patterns(problem, mesh)])
+
+
+def _sweep_patterns(problem, mesh) -> list:
+    shapes = block_shapes(mesh.Nt, mesh.Nx, (1,) * len(LAYOUTS))
+    eye = np.eye(sum(map(math.prod, shapes)))
+    state = bundle_of(StateBundle, eye, shapes)
+    tables = (state, derive_slots(mesh, state), bundle_of(ControlBundle, eye, shapes))
+    reached = ([], [])  # (equation, consumer nodes) from the state, the controls
+    for kid in problem.kernels:
+        shape = TERMS[kid]
+        ops, _, spec, _ = mesh.plan(("forward", kid), _contraction, shape, mesh, False)
+        for slot in slots_read(problem, kid, mesh):
+            # nonzeros as float, not bool, so that einsum hands Volterra sums to BLAS
+            nonzero = [(a != 0).astype(float) for a in (*ops, shape.arrange(slot, tables))]
+            reach = np.einsum(spec, *nonzero, optimize=True) != 0
+            reached[slot in CONTROL_BLOCKS].append((shape.eq, reach))
+    dims = [L.control_dim(problem.m_u, problem.m_w) for L in LAYOUTS]
+    per_node = (problem.n, np.repeat(dims, [math.prod(s) for s in shapes]))
+    return [np.repeat(np.repeat(assemble_sweep(mesh, 1, terms, eye.shape[:1]).flat != 0,
+                                problem.n, axis=1), reps, axis=0)
+            for terms, reps in zip(reached, per_node)]
+
+
+def _greedy_colors(pattern: np.ndarray) -> np.ndarray:
+    colors, taken = [], {}  # taken: color -> its entries, as a bit set
+    for row in np.packbits(pattern, axis=1):
+        bits = int.from_bytes(row.tobytes(), "big")
+        color = next((k for k, entries in taken.items() if not entries & bits), len(taken))
+        taken[color] = taken.get(color, 0) | bits
+        colors.append(color)
+    return np.array(colors, dtype=np.intp)
+
+
+def _complex_members(problem, mesh, base, at, member, terms, read) -> np.ndarray:
+    """Imaginary parts over CS_STEP of read(*at(bundle)), a row per complex
+    member of the bundle base's flat space, in member chunks of the terms'
+    arrays: member k is pack(base) + i*CS_STEP*e_c over the c with member[c] == k."""
+    real, out = pack(base), []
+    for rows in member_chunks(problem, mesh, 1 + member.max(initial=-1), 16, terms=terms):
+        flat = np.tile(real.astype(complex), (len(rows), 1))
+        cols = np.flatnonzero((member >= rows.start) & (member < rows.stop))
+        flat.imag[member[cols] - rows.start, cols] = CS_STEP
+        part = np.imag(read(*at(bundle_of(type(base), flat, base.shapes())))) / CS_STEP
+        out.append(np.broadcast_to(part, (len(rows),) + part.shape[1:]))
+    return np.concatenate(out)
+
+
+def _linearized_columns(problem, mesh, base, at, side):
+    """Image (a row per unknown) and cost differential of the sweep at every
+    unit vector of the bundle base's flat space (side 0 the state's, 1 the
+    controls'), by complex step at members at(members) maps to (state,
+    controls).  One member perturbs a whole color, whose image entries do
+    not meet; the cost reads every node, so its differential takes one
+    cost-only member per unknown: derive_slots and eval_cost, no sweep."""
+    pattern, colors = _column_colors(problem, mesh)[side]
+    images = _complex_members(problem, mesh, base, at, colors, None,
+                              lambda s, c: sweep_map(problem, mesh, s, c).flat)
+    costs = _complex_members(
+        problem, mesh, base, at, np.arange(len(colors)), [name for name, _ in problem.cost_terms()],
+        lambda s, c: np.atleast_1d(eval_cost(problem, mesh, s, derive_slots(mesh, s), c)))
+    return np.where(pattern, images[colors], 0.0), costs
 
 
 @dataclass
@@ -176,6 +232,7 @@ class DtoResult:
     grad: ControlGradient
     multipliers: CoStateBundle
     tangents: list = field(default_factory=list)  # a StateBundle per direction
+    members: dict = field(default_factory=dict, repr=False)  # complex members run: A, B, cost
 
 
 def dto_solve(
@@ -190,9 +247,9 @@ def dto_solve(
     controls, and at any other state the same linear algebra on the
     Jacobians there.  Runs no forward solve.
 
-    Builds the Jacobian of the fixed-point defect column by column, each
-    column the complex-step derivative of the sweep itself along one
-    unknown (state columns keep the controls real, control columns the
+    Builds the Jacobian of the fixed-point defect color by color, each
+    color one complex-step sweep along its unknowns, whose image entries do
+    not meet (state colors keep the controls real, control colors the
     state), solves the transposed system for the multipliers, and maps the
     result back to control-block shape (nodal convention: entries are plain
     partials with respect to nodal control values, quadrature weights
@@ -210,9 +267,9 @@ def dto_solve(
             f"dense oracle limited to {DTO_SIZE_CAP} unknowns, grid has {total}"
         )
 
-    images, dJdPhi = _linearized_columns(problem, mesh, state, lambda s: (s, controls))
+    images, dJdPhi = _linearized_columns(problem, mesh, state, lambda s: (s, controls), 0)
     A = np.ascontiguousarray(images.T) - np.eye(total)
-    images, dJdU = _linearized_columns(problem, mesh, controls, lambda c: (state, c))
+    images, dJdU = _linearized_columns(problem, mesh, controls, lambda c: (state, c), 1)
     B = np.ascontiguousarray(images.T)
 
     D = np.array([pack(d) for d in directions]).reshape(len(directions), B.shape[1])
@@ -228,6 +285,8 @@ def dto_solve(
         grad=ControlGradient(*bundle_of(ControlBundle, grad_flat, controls.shapes()).blocks()),
         multipliers=bundle_of(CoStateBundle, lam, state.shapes()),
         tangents=[bundle_of(StateBundle, t, state.shapes()) for t in tangents],
+        members=dict(zip("AB", (len(set(c)) for _, c in _column_colors(problem, mesh))),
+                     cost=len(dJdPhi) + len(dJdU)),
     )
 
 

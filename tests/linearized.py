@@ -1,16 +1,17 @@
-"""The hand-written linearization of the sweep and the cost: the test oracle
-of the dense oracle's complex-step columns.
+"""The test oracles of the dense oracle's complex-step columns.
 
 `verify.dto_solve` differentiates `sweep_map` and `eval_cost` themselves by
-complex step.  Here the same columns come from the kernels' registered
-partials instead: the partial arrays at the base state (`partial_cache`)
-contracted with the perturbed slot fields, one unit vector at a time.
+complex step, one member per color of unknowns.  `per_unknown_columns` runs
+one complex member per unknown instead, sweep and cost together.  The hand
+linearization takes the same columns from the kernels' registered partials:
+the partial arrays at the base state (`partial_cache`) contracted with the
+perturbed slot fields, one unit vector at a time.
 """
 
 import numpy as np
 
 from biload.adjoint import partial_cache
-from biload.forward import assemble_sweep
+from biload.forward import assemble_sweep, eval_cost, member_chunks, sweep_map
 from biload.kernels import TERMS, forward_contract
 from biload.state import (
     LAYOUT,
@@ -20,6 +21,30 @@ from biload.state import (
     zero_controls,
     zero_state,
 )
+from biload.verify import CS_STEP
+
+
+def per_unknown_columns(problem, mesh, state, controls):
+    """Sweep image (a row per unknown) and cost differential at the state's
+    unknowns with the controls real, then at the controls' with the state
+    real, as `verify._linearized_columns` returns them for each side, from
+    one complex member per unknown, batched per member chunk: the members
+    pack(base) + i*CS_STEP*e_k run sweep_map and eval_cost."""
+    out = []
+    for base, at in ((state, lambda s: (s, controls)), (controls, lambda c: (state, c))):
+        real = pack(base)
+        images, costs = [], []
+        for rows in member_chunks(problem, mesh, real.size, itemsize=16):
+            flat = np.zeros((len(rows), real.size), complex)
+            flat.real = real
+            flat.imag[range(len(rows)), rows] = CS_STEP
+            st, ct = at(bundle_of(type(base), flat, base.shapes()))
+            slots = derive_slots(mesh, st)
+            images.append(sweep_map(problem, mesh, st, ct, slots).flat.imag / CS_STEP)
+            cost = eval_cost(problem, mesh, st, slots, ct)
+            costs.append(np.broadcast_to(np.imag(cost) / CS_STEP, len(rows)))
+        out += [np.concatenate(images), np.concatenate(costs)]
+    return out
 
 
 #: Builtins whose complex-step columns round exactly as the hand columns do.

@@ -1,13 +1,17 @@
-"""The dense oracle's complex-step columns against the hand linearization.
+"""The dense oracle's complex-step columns against their oracles.
 
-`verify._linearized_columns` evaluates `sweep_map` and `eval_cost` at complex
-members base + i*h*e_k and reads the derivative off the imaginary part.  The
-hand linearization (`linearized.hand_columns`, from the registered partials)
-is its oracle: bit for bit on the builtins whose kernel bodies round as their
-partials do (`linearized.EXACT`), and to 1e-14 relative on the others and on
-the full-table problem.  Batched columns must keep
-the bits of one complex sweep per column, as the real member axis keeps those
-of one solve per member.
+`verify._linearized_columns` evaluates `sweep_map` at complex members that
+perturb a whole color of unknowns, and `eval_cost` at one cost-only member
+per unknown, and reads the derivatives off the imaginary parts.  One
+complex member per unknown (`linearized.per_unknown_columns`) is its oracle
+bit for bit, on every builtin at 8x8 and 16x16 and on the full-table
+problem, at a solved state and off it.  The hand linearization
+(`linearized.hand_columns`, from the registered partials) agrees bit for
+bit on the builtins whose kernel bodies round as their partials do
+(`linearized.EXACT`), and to 1e-14 relative on the others and on the
+full-table problem.  Batched columns must keep the bits of one complex
+sweep per column, as the real member axis keeps those of one solve per
+member.
 """
 
 import numpy as np
@@ -15,7 +19,7 @@ import pytest
 
 from biload import forward, models, verify
 from biload.forward import SolverConfig, eval_cost, solve_forward, sweep_map
-from biload.kernels import Kernel, Problem, validate_partials
+from biload.kernels import CostTerm, Kernel, Problem, validate_partials
 from biload.mesh import build_mesh
 from biload.state import (
     CONTROL_BLOCKS,
@@ -25,8 +29,9 @@ from biload.state import (
     derive_slots,
     pack,
     zero_controls,
+    zero_state,
 )
-from linearized import assert_agree, hand_columns, hand_dto
+from linearized import assert_agree, hand_columns, hand_dto, per_unknown_columns
 from test_full_table import MESH as FULL_MESH
 from test_full_table import _full_problem
 
@@ -60,8 +65,8 @@ def _solved(name, mesh=MESH):
 def _columns(problem, mesh, state, controls):
     """verify._linearized_columns at the state, then at the controls."""
     return [
-        *verify._linearized_columns(problem, mesh, state, lambda s: (s, controls)),
-        *verify._linearized_columns(problem, mesh, controls, lambda c: (state, c)),
+        *verify._linearized_columns(problem, mesh, state, lambda s: (s, controls), 0),
+        *verify._linearized_columns(problem, mesh, controls, lambda c: (state, c), 1),
     ]
 
 
@@ -78,20 +83,75 @@ def test_complex_step_columns_match_the_hand_linearization(name):
         assert_agree(name, new, old)
 
 
+def _moved(problem, mesh, state):
+    """state plus a seeded smooth field on every block: a point off the
+    fixed point."""
+    rng = np.random.default_rng(3)
+    smooth = StateBundle(**{L.state: verify.smooth_direction(mesh, L.control, problem.n, rng)
+                            for L in LAYOUTS})
+    return bundle_of(StateBundle, pack(state) + 0.1 * pack(smooth), state.shapes())
+
+
 @pytest.mark.parametrize("name", [*models.MODEL_NAMES, "full_table"])
 def test_the_dense_oracle_linearizes_the_state_it_is_given(name):
     # at the solved state and off it, along a seeded smooth field on every
     # block, gradient and multipliers are those of the hand linearization there
     problem, mesh, state, controls, _ = _solved(name, build_mesh(0.05, 5, 0.0, 1.0, 5))
-    rng = np.random.default_rng(3)
-    smooth = StateBundle(**{L.state: verify.smooth_direction(mesh, L.control, problem.n, rng)
-                            for L in LAYOUTS})
-    moved = bundle_of(StateBundle, pack(state) + 0.1 * pack(smooth), state.shapes())
-    for at in (state, moved):
+    for at in (state, _moved(problem, mesh, state)):
         dto = verify.dto_solve(problem, mesh, at, controls)
         grad = np.concatenate([dto.grad.block(b).ravel() for b in CONTROL_BLOCKS])
         for new, old in zip((grad, pack(dto.multipliers)), hand_dto(problem, mesh, at, controls)):
             assert_agree(name, new, old)
+
+
+@pytest.mark.parametrize("name,size", [(n, s) for s in (8, 16) for n in models.MODEL_NAMES]
+                         + [("full_table", None)])
+def test_colored_columns_equal_one_member_per_unknown(name, size):
+    # A, B, dJ/dPhi and dJ/dU, at the solved state and off it
+    mesh = MESH if size is None else build_mesh(0.05, size, 0.0, 1.0, size)
+    problem, mesh, state, controls, _ = _solved(name, mesh)
+    for at in (state, _moved(problem, mesh, state)):
+        want = per_unknown_columns(problem, mesh, at, controls)
+        for new, old in zip(_columns(problem, mesh, at, controls), want):
+            assert np.array_equal(new, old)
+
+
+def test_colors_follow_the_slots_a_body_reads_not_its_partials():
+    # f1 names no partial, yet its running integral reads phi, q and u
+    problem = Problem(n=1, m_u=1, m_w=0,
+                      kernels={"f1": Kernel(fn=lambda a: 0.5 * a.phi * a.q + a.u)},
+                      cost_F1=CostTerm(fn=lambda a: (a.phi**2).sum(-1)))
+    controls = zero_controls(MESH, 1, 0)
+    controls.u[...] = 0.3
+    state = _moved(problem, MESH, zero_state(MESH, 1))
+    columns = _columns(problem, MESH, state, controls)
+    for new, old in zip(columns, per_unknown_columns(problem, MESH, state, controls)):
+        assert np.array_equal(new, old)
+    assert columns[0].any() and columns[2].any()  # A and B
+
+
+#: Complex sweep members of A and B at 8x8, colored / per unknown.
+MEMBERS_8X8 = {
+    "volterra_exp": (9, 1),
+    "lq_volterra": (9, 9),
+    "heat": (27, 9),
+    "barenblatt": (27, 9),
+    "integral_cv": (27, 9),
+    "integral_cv_barenblatt": (27, 9),
+    "forest_fire_minimal": (81, 9),
+    "biload_demo": (83, 11),
+}
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_colored_members_at_8x8(name):
+    problem, mesh, state, controls, _ = _solved(name, build_mesh(0.05, 8, 0.0, 1.0, 8))
+    dto = verify.dto_solve(problem, mesh, state, controls)
+    a, b = MEMBERS_8X8[name]
+    assert dto.members["A"] <= a and dto.members["B"] <= b
+    unknowns = verify.state_unknowns(problem, mesh), pack(controls).size
+    assert dto.members["cost"] == sum(unknowns)
+    assert "members" not in repr(dto)
 
 
 def _per_column(problem, mesh, base, at):
@@ -128,6 +188,10 @@ def test_member_chunks_count_the_element_size():
     real = forward.member_chunks(problem, MESH, 1000)
     packed = forward.member_chunks(problem, MESH, 1000, itemsize=16)
     assert len(packed[0]) == len(real[0]) // 2 < len(real[0])
+    # cost-only members build no kernel array, only the cost terms'
+    costs = forward.member_chunks(problem, MESH, 1000, itemsize=16,
+                                  terms=[name for name, _ in problem.cost_terms()])
+    assert len(costs[0]) > 10 * len(packed[0])
 
 
 def test_fire_chunks_are_sized_from_the_raw_radiation_array(monkeypatch):

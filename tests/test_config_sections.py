@@ -51,6 +51,16 @@ def _without(key: str) -> str:
          "line 26: control init must be a number or one of zero, one, sin_x, sin_t, bump_x"),
         (_with("output", "bogus = x"), "line 23: unknown key 'bogus' in [output]"),
     ],
+    # named by the edit, so that editing heat.cfg keeps the IDs
+    ids=[
+        "mesh-unknown-key", "mesh-bad-Nt", "mesh-missing-Nt", "mesh-missing-x_a",
+        "model-unknown-parameter", "model-bad-alpha",
+        "solver-relax-word", "solver-relax-above-1", "solver-bad-tol", "solver-bad-max_iter",
+        "solver-unknown-key",
+        "optimize-bad-step0", "optimize-unknown-key", "optimize-backtrack-above-1",
+        "controls-unknown-key", "controls-infinite-w", "controls-unknown-init",
+        "output-unknown-key",
+    ],
 )
 def test_single_fault_messages(text, message):
     with pytest.raises(ConfigError) as info:
