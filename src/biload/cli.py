@@ -11,7 +11,7 @@ Exit status: 0 on success (and a passing grad-check), 1 for a failing
 grad-check, 2 for config errors and an unusable output directory, 3 for
 solver failures.  optimize exits 0 whatever its stop reason,
 `line_search_failed` included; it prints the status instead, then its
-line-search trials and solved members.
+line-search trials, solved members and their forward sweeps.
 """
 
 from __future__ import annotations
@@ -376,7 +376,8 @@ def _cmd_optimize(spec: RunSpec, mesh: Mesh, problem, controls, outdir: Path, se
     )
     write_block_csvs(outdir, mesh, best.named())
     print(f"optimize: status={history.status} J_final={history.rows[-1][1]!r}")
-    print(f"optimize: trials={sum(history.trials)} members={sum(history.members)}")
+    print(f"optimize: trials={sum(history.trials)} members={sum(history.members)} "
+          f"sweeps={sum(history.sweeps)}")
     return 0
 
 

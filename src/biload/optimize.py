@@ -9,10 +9,13 @@ blocks, on one of two gradients, chosen by the size of the grid:
   accepted step (s the change in controls, projection included; y the
   change in gradient), or at step0 when <s,y> <= 0: with the monotone
   Armijo search below, the spectral projected gradient method of Birgin,
-  Martinez & Raydan (2000).
+  Martinez & Raydan (2000).  Each trial's forward solve starts at its
+  first-order prediction from the same linearization (`predicted_start`):
+  state + t, t = -A^-1 B d, d the projected change in controls.
 * above it, the paper's costate-based gradient, `adjoint.costate_gradient`,
   which matches the gradient of the discrete cost to first order in the
-  grid spacing.  Every line search starts at step0.
+  grid spacing.  Every line search starts at step0, and every trial's
+  forward solve from zero.
 
 All six blocks descend simultaneously with one shared step.  A trial step
 is accepted when it achieves the sufficient decrease
@@ -25,7 +28,9 @@ The trial steps of a line search are known before any is solved: the
 first trial, then `step *= backtrack` down to STEP_FLOOR.  The ladder goes
 to `forward.solve_forward_many` in chunks of 1, 2, 4, ... members (up to
 one batched sweep), and the first member in ladder order that passes is
-accepted, so the result is bit for bit that of the sequential search.
+accepted, so the result is bit for bit that of the sequential search.  A
+member stops only on its own residual, whatever its start; one whose
+iterate leaves the guard is rejected like any diverging trial.
 """
 
 from __future__ import annotations
@@ -42,16 +47,17 @@ from .errors import ConfigError, DivergenceError, KernelEvalError, check_count
 from .forward import SolverConfig, eval_cost, member_chunks, solve_forward, solve_forward_many
 from .kernels import Problem
 from .mesh import Mesh
-from .state import CONTROL_BLOCKS, LAYOUT, ControlBundle, derive_slots
+from .state import CONTROL_BLOCKS, LAYOUT, ControlBundle, StateBundle, bundle_of, derive_slots, pack
 from .verify import dto_solve, state_unknowns
 
 #: Trial step below which backtracking gives up (status line_search_failed).
 STEP_FLOOR = 1e-12
 #: Grids up to this many unknowns descend on the exact discrete gradient,
-#: larger ones on the costate gradient.  One dense gradient costs 5 ms at
-#: 121 unknowns (heat.cfg), 79 ms at 361 (heat 16x16), 0.18 s at 371
-#: (volterra 50x4) and 3.1 s at 1,421 (volterra.cfg), against 2-9 ms for a
-#: costate gradient on the same grids (2-CPU VM, BLAS on one thread).
+#: larger ones on the costate gradient.  One dense gradient costs 2.1 ms at
+#: 121 unknowns (heat.cfg), 12.2 ms at 361 (heat 16x16), 19 ms at 371
+#: (volterra_exp 50x4) and 428 ms at 1,421 (volterra_exp 200x4), against
+#: 1.9-7.2 ms for a costate gradient on the same grids (2-CPU VM, BLAS on
+#: one thread).
 EXACT_GRADIENT_CAP = 400
 
 
@@ -79,10 +85,11 @@ class OptimizeOptions:
 class OptimizeHistory:
     rows: list = field(default_factory=list)  # (iter, J, gnorm, step, fwd_iters)
     status: str = "running"
-    # per line search: the trials the sequential search solves, and the
-    # members solved, speculative ones included
+    # per line search: the trials the sequential search solves, the members
+    # solved, and their forward sweeps, speculative members included
     trials: list = field(default_factory=list)
     members: list = field(default_factory=list)
+    sweeps: list = field(default_factory=list)
 
     def costs(self):
         return [r[1] for r in self.rows]
@@ -113,12 +120,23 @@ def _descend(controls: ControlBundle, grad, step: float) -> ControlBundle:
     return new
 
 
-def discrete_gradient(problem: Problem, mesh: Mesh, state, controls: ControlBundle) -> ControlGradient:
-    """The exact gradient of the discrete cost at state, the fixed point the
-    caller solved for controls, as densities: `verify.dto_solve`'s nodal
-    partials divided by the node weights of each block's quadrature."""
-    nodal = dto_solve(problem, mesh, state, controls).grad
-    return ControlGradient(*(nodal.block(b) / LAYOUT[b].weights(mesh) for b in CONTROL_BLOCKS))
+def discrete_gradient(problem: Problem, mesh: Mesh, state, controls: ControlBundle):
+    """(gradient, linearization): the exact gradient of the discrete cost at
+    state, the fixed point the caller solved for controls, as densities
+    (`verify.dto_solve`'s nodal partials divided by the node weights of
+    each block's quadrature), and the `verify.DtoResult` it came from."""
+    dto = dto_solve(problem, mesh, state, controls)
+    return ControlGradient(*(dto.grad.block(b) / LAYOUT[b].weights(mesh)
+                             for b in CONTROL_BLOCKS)), dto
+
+
+def predicted_start(dto, state: StateBundle, controls: ControlBundle, trial: ControlBundle):
+    """The first-order prediction of the fixed point of trial: state + t,
+    state the fixed point of controls that dto linearizes and t its tangent
+    along the change trial - controls."""
+    d = bundle_of(ControlBundle, pack(trial) - pack(controls), controls.shapes())
+    (t,) = dto.tangents([d])
+    return bundle_of(StateBundle, pack(state) + t.flat, state.shapes())
 
 
 def _bb_step(mesh: Mesh, prev: ControlBundle, controls: ControlBundle,
@@ -154,8 +172,9 @@ def run_gd(
     STEP_FLOOR (status line_search_failed).
     Each line search solves its ladder of trial steps in doubling chunks
     along the member axis and accepts the first member that passes, bit for
-    bit the sequential search; history.trials and history.members count,
-    per search, the members that search reaches and the members solved.
+    bit the sequential search; history.trials, history.members and
+    history.sweeps count, per search, the members that search reaches, the
+    members solved and their forward sweeps.
     """
     opts = opts or OptimizeOptions()
     solver_cfg = solver_cfg or SolverConfig()
@@ -174,26 +193,31 @@ def run_gd(
     best_controls, best_J = controls.copy(), J
 
     def gradient():
-        """The chosen gradient at (state, controls) and its squared norm."""
+        """The chosen gradient at (state, controls), its squared norm and the
+        linearization it read (None on the costate path)."""
         if use_dto:
-            g = discrete_gradient(problem, mesh, state, controls)
+            g, dto = discrete_gradient(problem, mesh, state, controls)
         else:
             _, g = costate_gradient(problem, mesh, state, slots, controls, solver_cfg)
-        return g, gradient_norm2(mesh, g)
+            dto = None
+        return g, gradient_norm2(mesh, g), dto
 
     def line_search(first):
         """The first member of the ladder from first that passes Armijo, as
-        (step, controls, state, slots, J, report), or None.  A member that
-        leaves the guard is rejected; one whose kernel is not finite raises
-        its error when the search reaches it."""
+        (step, controls, state, slots, J, report), or None.  With a
+        linearization each member starts at its predicted_start, else from
+        zero.  A member that leaves the guard is rejected; one whose kernel
+        is not finite raises its error when the search reaches it."""
         steps = accumulate(repeat(opts.backtrack), mul, initial=first)  # as `step *= backtrack`
         ladder = takewhile(lambda step: step >= STEP_FLOOR, steps)
-        size, trials, members, found = 1, 0, 0, None
+        size, trials, members, sweeps, found = 1, 0, 0, 0, None
         while found is None and (chunk := list(islice(ladder, size))):
             points = [project(_descend(controls, grad, step), bounds) for step in chunk]
+            starts = None if dto is None else [predicted_start(dto, state, controls, p) for p in points]
             members += len(chunk)
             size = len(member_chunks(problem, mesh, 2 * size)[0])  # double, within one batch
-            solved = solve_forward_many(problem, mesh, points, solver_cfg)
+            solved = list(solve_forward_many(problem, mesh, points, solver_cfg, starts))
+            sweeps += sum(trep.iterations for _, trep in solved)
             for step, trial, (tstate, trep) in zip(chunk, points, solved):
                 trials += 1
                 if isinstance(trep.error, KernelEvalError):
@@ -206,9 +230,10 @@ def run_gd(
                         break
         history.trials.append(trials)
         history.members.append(members)
+        history.sweeps.append(sweeps)
         return found
 
-    grad, gnorm2 = gradient()
+    grad, gnorm2, dto = gradient()
     gnorm = float(np.sqrt(gnorm2))
     history.rows.append((0, J, gnorm, 0.0, rep.iterations))
 
@@ -226,7 +251,7 @@ def run_gd(
         step, controls, state, slots, J, rep = found
         if J < best_J:
             best_controls, best_J = controls.copy(), J
-        grad, gnorm2 = gradient()
+        grad, gnorm2, dto = gradient()
         gnorm = float(np.sqrt(gnorm2))
         history.rows.append((outer, J, gnorm, step, rep.iterations))
         if use_dto:

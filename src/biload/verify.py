@@ -231,8 +231,17 @@ def _linearized_columns(problem, mesh, base, at, side):
 class DtoResult:
     grad: ControlGradient
     multipliers: CoStateBundle
-    tangents: list = field(default_factory=list)  # a StateBundle per direction
     members: dict = field(default_factory=dict, repr=False)  # complex members run: A, B, cost
+    # the Jacobians of the defect in the state (A) and of the sweep in the controls (B)
+    A: np.ndarray = field(default=None, repr=False, compare=False)
+    B: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def tangents(self, directions) -> list:
+        """The state's derivative t = -A^-1 B d along each control bundle d
+        in directions, a StateBundle each, from one dense solve."""
+        D = np.array([pack(d) for d in directions]).reshape(len(directions), self.B.shape[1])
+        T = np.ascontiguousarray(np.linalg.solve(self.A, -(self.B @ D.T)).T)
+        return [bundle_of(StateBundle, t, self.multipliers.shapes()) for t in T]
 
 
 def dto_solve(
@@ -240,7 +249,6 @@ def dto_solve(
     mesh: Mesh,
     state: StateBundle,
     controls: ControlBundle,
-    directions=(),
 ) -> DtoResult:
     """Gradient of the discrete reduced cost via dense linearization at
     state, which the caller solved: exact when state is the fixed point of
@@ -255,11 +263,8 @@ def dto_solve(
     partials with respect to nodal control values, quadrature weights
     included).  The kernel bodies must be complex-analytic in the slot
     values, as every builtin is; the hand-written partials play no part.
-
-    With the state Jacobian A and the control Jacobian B, the tangent of
-    each control bundle d in directions is the state's derivative along
-    it, t = -A^-1 B d, from one more dense solve (none when directions
-    is empty).
+    The result keeps the state Jacobian A and the control Jacobian B for
+    its tangents.
     """
     total = state_unknowns(problem, mesh)
     if total > DTO_SIZE_CAP:
@@ -272,10 +277,8 @@ def dto_solve(
     images, dJdU = _linearized_columns(problem, mesh, controls, lambda c: (state, c), 1)
     B = np.ascontiguousarray(images.T)
 
-    D = np.array([pack(d) for d in directions]).reshape(len(directions), B.shape[1])
     try:
         lam = np.linalg.solve(A.T, -dJdPhi)
-        tangents = np.ascontiguousarray(np.linalg.solve(A, -(B @ D.T)).T) if len(D) else ()
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "discrete fixed point has a singular linearization"
@@ -284,9 +287,9 @@ def dto_solve(
     return DtoResult(
         grad=ControlGradient(*bundle_of(ControlBundle, grad_flat, controls.shapes()).blocks()),
         multipliers=bundle_of(CoStateBundle, lam, state.shapes()),
-        tangents=[bundle_of(StateBundle, t, state.shapes()) for t in tangents],
         members=dict(zip("AB", (len(set(c)) for _, c in _column_colors(problem, mesh))),
                      cost=len(dJdPhi) + len(dJdU)),
+        A=A, B=B,
     )
 
 
@@ -477,7 +480,7 @@ def gradient_check(
     zero = zero_controls(mesh, problem.m_u, problem.m_w)
     units = [_perturbed(zero, b, d, 1.0) for b, _, d in dirs]
     state = _solved_state(solve_forward(problem, mesh, controls, cfg), " for gradient check")
-    dto = dto_solve(problem, mesh, state, controls, units) if use_dto else None
+    dto = dto_solve(problem, mesh, state, controls) if use_dto else None
     costate, grad = costate_gradient(problem, mesh, state, derive_slots(mesh, state), controls,
                                      costate_cfg, " for gradient check")
 
@@ -487,7 +490,8 @@ def gradient_check(
     members = [_perturbed(controls, b, d, s) for b, _, d in dirs for s in steps]
     base = pack(state)
     starts = None if dto is None else [
-        bundle_of(StateBundle, base + s * t.flat, state.shapes()) for t in dto.tangents for s in steps]
+        bundle_of(StateBundle, base + s * t.flat, state.shapes()) for t in dto.tangents(units)
+        for s in steps]
     solved = solve_forward_many(problem, mesh, members, cfg, starts)
     costs = _fd_costs(problem, mesh, members, solved)
     for (block, k, direction), j_up, j_dn in zip(dirs, costs[::2], costs[1::2]):

@@ -248,13 +248,13 @@ def test_tangents_solve_the_linearized_fixed_point(name):
     rng = np.random.default_rng(2)
     directions = [bundle_of(type(zero), rng.standard_normal(pack(zero).size), zero.shapes())
                   for _ in range(2)]
-    dto = verify.dto_solve(problem, mesh, state, controls, directions)
-    assert len(dto.tangents) == 2
+    tangents = verify.dto_solve(problem, mesh, state, controls).tangents(directions)
+    assert len(tangents) == 2
 
     def along(base, step):
         return bundle_of(type(base), pack(base) + 1j * h * pack(step), base.shapes())
 
-    for d, t in zip(directions, dto.tangents):
+    for d, t in zip(directions, tangents):
         A_t = sweep_map(problem, mesh, along(state, t), controls).flat.imag / h - pack(t)
         B_d = sweep_map(problem, mesh, state, along(controls, d)).flat.imag / h
         assert np.max(np.abs(A_t + B_d)) <= 1e-12 * np.max(np.abs(B_d))

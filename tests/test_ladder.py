@@ -2,11 +2,13 @@
 
 `sequential_gd` below is the oracle of `optimize.run_gd`: the loop that
 solves one trial step at a time, `step *= backtrack` from the first trial
-down to STEP_FLOOR, each a cold `solve_forward`.  The first trial is step0
-on the costate gradient, and on the discrete gradient the Barzilai-Borwein
-step <s,s>/<s,y> after the first search, s the change in controls (so
-projected) and y the change in gradient.  It only adds the count of trials
-per search and a record of what became of each trial.  `run_gd` must agree with it bit for bit:
+down to STEP_FLOOR.  On the costate gradient each trial is a cold
+`solve_forward` and the first trial is step0.  On the discrete gradient
+each trial is a `fixed_point` from `optimize.predicted_start`, and the
+first trial is the Barzilai-Borwein step <s,s>/<s,y> after the first
+search, s the change in controls (so projected) and y the change in
+gradient.  It only adds the count of trials per search and a record of
+what became of each trial.  `run_gd` must agree with it bit for bit:
 history rows, status, best controls, and the error raised, because the
 benchmark's failure counts follow the floating-point bits.
 """
@@ -26,7 +28,7 @@ from biload.adjoint import (
     solve_costate,
 )
 from biload.errors import DivergenceError, KernelEvalError
-from biload.forward import SolverConfig, eval_cost, fixed_point, solve_forward
+from biload.forward import SolverConfig, eval_cost, fixed_point, solve_forward, sweep_map
 from biload.kernels import CostTerm, Kernel, Problem
 from biload.mesh import build_mesh
 from biload.optimize import (
@@ -36,6 +38,7 @@ from biload.optimize import (
     OptimizeOptions,
     _descend,
     discrete_gradient,
+    predicted_start,
     project,
     run_gd,
 )
@@ -69,6 +72,7 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None, use_dto=
     best_controls, best_J = controls.copy(), J
 
     def fresh_gradient():
+        """The gradient and, on the discrete path, its linearization."""
         if use_dto:
             return discrete_gradient(problem, mesh, state, controls)
         cache = partial_cache(problem, mesh, (state, slots, controls))
@@ -77,9 +81,15 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None, use_dto=
         )
         if not crep.converged:
             raise DivergenceError("costate solve did not converge")
-        return control_gradient(problem, mesh, state, slots, controls, costate, cache)
+        return control_gradient(problem, mesh, state, slots, controls, costate, cache), None
 
-    grad = fresh_gradient()
+    def trial_solve(trial):
+        if dto is None:
+            return solve_forward(problem, mesh, trial, solver_cfg)
+        return fixed_point(lambda s: sweep_map(problem, mesh, s, trial),
+                           predicted_start(dto, state, controls, trial), solver_cfg)
+
+    grad, dto = fresh_gradient()
     gnorm2 = gradient_norm2(mesh, grad)
     gnorm = float(np.sqrt(gnorm2))
     history.rows.append((0, J, gnorm, 0.0, rep.iterations))
@@ -97,7 +107,7 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None, use_dto=
             trials += 1
             trial = project(_descend(controls, grad, step), bounds)
             try:
-                tstate, trep = solve_forward(problem, mesh, trial, solver_cfg)
+                tstate, trep = trial_solve(trial)
             except DivergenceError:
                 outcomes.append("diverged")
                 step *= opts.backtrack
@@ -123,7 +133,7 @@ def sequential_gd(problem, mesh, controls0, opts=None, solver_cfg=None, use_dto=
         controls, state, slots, J, rep = trial, tstate, tslots, tJ, trep
         if J < best_J:
             best_controls, best_J = controls.copy(), J
-        grad = fresh_gradient()
+        grad, dto = fresh_gradient()
         gnorm2 = gradient_norm2(mesh, grad)
         gnorm = float(np.sqrt(gnorm2))
         history.rows.append((outer, J, gnorm, step, rep.iterations))
@@ -146,7 +156,7 @@ def _assert_same(new, old):
     assert repr(h_new.rows) == repr(h_old.rows)
     assert h_new.status == h_old.status
     assert h_new.trials == h_old.trials
-    assert len(h_new.members) == len(h_new.trials)
+    assert len(h_new.members) == len(h_new.sweeps) == len(h_new.trials)
     assert all(m >= t for m, t in zip(h_new.members, h_new.trials))
     for a, b in zip(best_new.blocks(), best_old.blocks()):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -196,6 +206,28 @@ def test_shipped_configs_by_default_match_the_sequential_search(
     assert all(b < a for a, b in zip(costs, costs[1:]))  # J falls at every row
 
 
+@pytest.mark.parametrize("name, most", [("heat", 15), ("biload", 60)])
+def test_predicted_starts_leave_about_a_sweep_per_member(name, most):
+    # the forward sweeps of a run: its start solve, then every member of
+    # every line search; 135 and 539 when each member started from zero
+    _, history = run_gd(*_config(name))
+    assert history.rows[0][4] + sum(history.sweeps) <= most
+    if name == "heat":
+        assert history.sweeps == [1] * 8
+        assert [row[4] for row in history.rows[1:]] == [1] * 8
+
+
+def test_clipped_trials_start_at_the_prediction_along_the_projected_change(heat):
+    # u >= -0.1 clips the heat descent: the start of a clipped trial is one
+    # sweep from its fixed point only along the projected change
+    problem, mesh, controls, opts, cfg = heat
+    problem = dataclasses.replace(problem, bounds={"u": (-0.1, 1.0)})
+    new, old = _both(problem, mesh, controls, opts, cfg)
+    _assert_same(new, old)
+    assert np.min(new[0].u) == -0.1
+    assert [row[4] for row in new[1].rows[1:]] == [1] * 8
+
+
 def test_bounded_descent_takes_the_projected_change_as_s():
     # J = |u|^2 over u >= 0.05 on the left half: the first step clips the
     # left half at its bound, so the projected change differs from -step g;
@@ -218,8 +250,8 @@ def test_cli_prints_the_ladder_after_the_status(tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2] == "optimize: status=stationary J_final=0.008092047585838962"
-    assert lines[-1] == "optimize: trials=8 members=8"
+    assert lines[-2] == "optimize: status=stationary J_final=0.00809204758583893"
+    assert lines[-1] == "optimize: trials=8 members=8 sweeps=8"
 
 
 @pytest.mark.parametrize(
@@ -250,10 +282,15 @@ def test_large_steps_that_diverge_are_skipped(heat):
     assert len(new[1].rows) > 1
 
 
-def test_trials_that_stop_at_max_iter_are_rejected(heat):
-    problem, mesh, controls, opts, cfg = heat
-    opts = dataclasses.replace(opts, max_outer=4)
-    new, old = _both(problem, mesh, controls, opts, dataclasses.replace(cfg, max_iter=15))
+def test_trials_that_stop_at_max_iter_are_rejected():
+    # forest fire is nonlinear in its controls: from their predicted starts
+    # the first trials of step0 = 1e4 need more sweeps than the start solve's 31
+    params = models.make_params("forest_fire_minimal")
+    problem = models.make_model(params)
+    controls = zero_controls(MESH, problem.m_u, problem.m_w)
+    opts = OptimizeOptions(max_outer=4, step0=1e4)
+    cfg = SolverConfig(tol=1e-10, relax=models.picard_relax_hint(params, MESH), max_iter=31)
+    new, old = _both(problem, MESH, controls, opts, cfg)
     _assert_same(new, old)
     assert "max_iter" in old[2]
 

@@ -309,15 +309,15 @@ def test_predicted_starts_agree_with_the_per_direction_loop(name):
 def test_a_zero_tangent_start_still_agrees_with_the_per_direction_loop(monkeypatch, name):
     # the members start at the base state itself: the quotient rests on
     # each member's own residual test, not on the tangent
-    real = verify.dto_solve
+    real = verify.DtoResult.tangents
 
-    def zero_tangents(*args):
-        dto = real(*args)
-        for tangent in dto.tangents:
+    def zero_tangents(dto, directions):
+        tangents = real(dto, directions)
+        for tangent in tangents:
             tangent.flat[...] = 0.0
-        return dto
+        return tangents
 
-    monkeypatch.setattr(verify, "dto_solve", zero_tangents)
+    monkeypatch.setattr(verify.DtoResult, "tangents", zero_tangents)
     got, _, fds = _check_and_cold_loop(name)
     np.testing.assert_allclose(got, fds, rtol=1e-6, atol=0.0)
 

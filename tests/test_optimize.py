@@ -187,7 +187,7 @@ def test_discrete_density_pairs_as_the_nodal_gradient(name):
     # the quadrature pairing of the density gradient = discrete descends on
     # is the nodal directional derivative of the dense oracle
     problem, mesh, state, controls, _ = _solved(name, MESH)
-    density = discrete_gradient(problem, mesh, state, controls)
+    density, _ = discrete_gradient(problem, mesh, state, controls)
     nodal = dto_solve(problem, mesh, state, controls).grad
     rng = np.random.default_rng(4)
     for block in CONTROL_BLOCKS:

@@ -8,7 +8,9 @@ raw bytes of its result: forward (the state and its residual history),
 cost, costate (the costate and its residual history), gradient (the control
 gradient), dto (the `dto_solve` gradient at the step's own forward
 solve), gradcheck (the fd, adjoint and dto values of the `gradient_check`
-entries, two directions per control block) and partials (the `validate_partials` entries).  A step that raises
+entries, two directions per control block), partials (the `validate_partials` entries)
+and optimize (the rows, trials and members of the `run_gd` history with
+max_outer=3, and its best controls).  A step that raises
 hashes only its exception type; the steps that need its result print no
 line.  The package is imported from the ``src/`` next to this script, so
 running it in two checkouts and diffing the outputs shows which steps a
@@ -26,7 +28,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from biload import adjoint, forward, kernels, models, state, verify  # noqa: E402
+from biload import adjoint, forward, kernels, models, optimize, state, verify  # noqa: E402
 from biload.mesh import build_mesh  # noqa: E402
 
 NT = NX = 6
@@ -102,7 +104,14 @@ def model_digest(name: str) -> list:
     _step(lines, "gradcheck", lambda: [(e.fd, e.adjoint, e.dto) for e in verify.gradient_check(
         problem, mesh, controls, n_dirs=2, cfg=cfg).entries])
     _step(lines, "partials", lambda: kernels.validate_partials(problem, probes=3).entries)
+    _step(lines, "optimize", lambda: _descent(problem, mesh, controls, cfg))
     return lines
+
+
+def _descent(problem, mesh, controls, cfg):
+    best, history = optimize.run_gd(
+        problem, mesh, controls, optimize.OptimizeOptions(max_outer=3), cfg)
+    return history.rows, history.trials, history.members, best
 
 
 def main() -> None:
